@@ -37,11 +37,11 @@ update-baselines:
 	$(GO) run ./cmd/benchgate -dir $(BENCHDIR) -tol $(TOL) -update
 
 # Kernel benchmark smoke: one iteration of the similarity-kernel micro
-# benchmarks, the end-to-end localization comparison, and the fleet-scale
-# quantized-vs-float scan. Fast enough for CI; catches "kernel path silently
-# disabled" and compile rot in the benchmarks.
+# benchmarks, the end-to-end localization benchmarks (sequential, parallel,
+# observed) and the corpus throughput run. Fast enough for CI; catches
+# compile rot and panics in the benchmarks.
 bench:
-	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|KernelVsLegacy|CorpusThroughput|FleetScan' -benchtime 1x .
+	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput' -benchtime 1x .
 
 bench-all:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -78,7 +78,7 @@ step "serve smoke (reviewd daemon: registry, concurrent traffic, injected fault,
 go run ./cmd/servesmoke
 
 step "bench smoke (kernel benchmarks, 1 iteration)"
-go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|KernelVsLegacy|CorpusThroughput|FleetScan' -benchtime 1x .
+go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput' -benchtime 1x .
 go test -run xxx -bench DeltaRebuild -benchtime 1x ./internal/synth
 
 echo ""

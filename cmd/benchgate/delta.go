@@ -46,8 +46,6 @@ func deltaSnapshot(seed int64, runner *experiments.Runner) (snapshotFile, error)
 		agg.InvisibleRowsFresh += st.InvisibleRowsFresh
 		agg.GUIsReused += st.GUIsReused
 		agg.GUIsFresh += st.GUIsFresh
-		agg.QuantPatched += st.QuantPatched
-		agg.QuantRebuilt += st.QuantRebuilt
 	}
 
 	// Delta-vs-full localization equivalence over a fixed review sample;
@@ -111,8 +109,6 @@ func deltaSnapshot(seed int64, runner *experiments.Runner) (snapshotFile, error)
 		"rows|invisible_fresh":    float64(agg.InvisibleRowsFresh),
 		"rows|guis_reused":        float64(agg.GUIsReused),
 		"rows|guis_fresh":         float64(agg.GUIsFresh),
-		"quant|patched":           float64(agg.QuantPatched),
-		"quant|rebuilt":           float64(agg.QuantRebuilt),
 		"image|delta_bytes":       float64(len(deltaImg)),
 		"image|base_bytes":        float64(len(baseImg)),
 		"pin|full_fallbacks":      float64(fellBack),

@@ -17,6 +17,12 @@
 // ignored, so wall-clock noise never fails the gate. Everything runs
 // offline from the built-in generators.
 //
+// After the selected tables, every run gates the non-table snapshots listed
+// in run's gate table: BENCH_KERNEL, BENCH_OBS, BENCH_FRONTEND,
+// BENCH_SNAPSHOT and BENCH_SERVE at -tol, BENCH_FLEETOBS and BENCH_DELTA
+// exactly (zero tolerance). A drift error names each drifted gate with its
+// own tolerance.
+//
 // Usage:
 //
 //	benchgate [-dir bench] [-tol 0.02] [-tables 1,2,8-10] [-seed 1] [-update]
@@ -58,13 +64,6 @@ func run() error {
 		tol    = flag.Float64("tol", 0.02, "relative drift tolerance per metric")
 		tables = flag.String("tables", "1-17", "tables to gate (comma list with ranges, e.g. 1,2,8-10)")
 		seed   = flag.Int64("seed", 1, "generator seed (must match the stored baselines)")
-		kernel = flag.Bool("kernel", true, "also gate the similarity-kernel scan snapshot (BENCH_KERNEL.json)")
-		obsFlg = flag.Bool("obs", true, "also gate the telemetry registry snapshot (BENCH_OBS.json)")
-		frontE = flag.Bool("frontend", true, "also gate front-end allocation counts and cache hit rate (BENCH_FRONTEND.json)")
-		snapFl = flag.Bool("snapshot", true, "also gate the snapshot image structure and load equivalence (BENCH_SNAPSHOT.json)")
-		srvFlg = flag.Bool("serve", true, "also gate the serving layer: response exactness, admission counts, failure mapping, perf pins (BENCH_SERVE.json)")
-		fleetF = flag.Bool("fleetobs", true, "also gate fleet observability: labeled metrics, journal event sequence, SLO budget arithmetic, exactly (BENCH_FLEETOBS.json)")
-		deltaF = flag.Bool("delta", true, "also gate incremental rebuilds: diff counts, row reuse, delta-vs-full mismatch pins, change-aware table metrics (BENCH_DELTA.json)")
 		update = flag.Bool("update", false, "rewrite the baselines from this run")
 	)
 	flag.Parse()
@@ -78,151 +77,56 @@ func run() error {
 	}
 
 	runner := experiments.NewRunner(*seed)
-	failed := 0
-	created := 0
+	type gate struct {
+		label   string
+		file    string
+		produce func() (snapshotFile, error)
+		tol     float64
+	}
+	var gates []gate
 	for _, n := range nums {
-		tab, err := runner.TableByNumber(n)
+		gates = append(gates, gate{fmt.Sprintf("table %2d", n), fmt.Sprintf("BENCH_%d.json", n), func() (snapshotFile, error) {
+			tab, err := runner.TableByNumber(n)
+			if err != nil {
+				return snapshotFile{}, err
+			}
+			return snapshotFile{Table: n, ID: tab.ID, Title: tab.Title, Seed: *seed, Metrics: tableMetrics(tab)}, nil
+		}, *tol})
+	}
+	// The non-table gates, after the paper tables. Fleetobs and delta
+	// metrics are exact counts from byte-deterministic scenarios, so they
+	// gate with zero tolerance.
+	gates = append(gates,
+		gate{"kernel  ", "BENCH_KERNEL.json", func() (snapshotFile, error) { return kernelSnapshot(*seed), nil }, *tol},
+		gate{"obs     ", "BENCH_OBS.json", func() (snapshotFile, error) { return obsSnapshot(*seed), nil }, *tol},
+		gate{"frontend", "BENCH_FRONTEND.json", func() (snapshotFile, error) { return frontendSnapshot(*seed) }, *tol},
+		gate{"snapshot", "BENCH_SNAPSHOT.json", func() (snapshotFile, error) { return snapshotSnapshot(*seed) }, *tol},
+		gate{"serve   ", "BENCH_SERVE.json", func() (snapshotFile, error) { return serveSnapshot(*seed) }, *tol},
+		gate{"fleetobs", "BENCH_FLEETOBS.json", func() (snapshotFile, error) { return fleetobsSnapshot(*seed) }, 0},
+		gate{"delta   ", "BENCH_DELTA.json", func() (snapshotFile, error) { return deltaSnapshot(*seed, runner) }, 0},
+	)
+
+	var drifted []string
+	created := 0
+	for _, g := range gates {
+		cur, err := g.produce()
 		if err != nil {
 			return err
 		}
-		cur := snapshotFile{
-			Table:   n,
-			ID:      tab.ID,
-			Title:   tab.Title,
-			Seed:    *seed,
-			Metrics: tableMetrics(tab),
-		}
-		path := filepath.Join(*dir, fmt.Sprintf("BENCH_%d.json", n))
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, fmt.Sprintf("table %2d", n))
+		madeBaseline, drift, err := gateSnapshot(filepath.Join(*dir, g.file), cur, *seed, g.tol, *update, g.label)
 		if err != nil {
 			return err
 		}
 		if madeBaseline {
 			created++
 		}
-		if drifted {
-			failed++
+		if drift {
+			drifted = append(drifted, fmt.Sprintf("%s (tolerance %.3f)", strings.TrimSpace(g.label), g.tol))
 		}
 	}
-	if *kernel {
-		cur := kernelSnapshot(*seed)
-		path := filepath.Join(*dir, "BENCH_KERNEL.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "kernel  ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *obsFlg {
-		cur := obsSnapshot(*seed)
-		path := filepath.Join(*dir, "BENCH_OBS.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "obs     ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *frontE {
-		cur, err := frontendSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_FRONTEND.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "frontend")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *snapFl {
-		cur, err := snapshotSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_SNAPSHOT.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "snapshot")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *srvFlg {
-		cur, err := serveSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_SERVE.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "serve   ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *fleetF {
-		cur, err := fleetobsSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_FLEETOBS.json")
-		// Every fleetobs metric is a count or a budget from a
-		// byte-deterministic scenario — gate with zero tolerance.
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, 0, *update, "fleetobs")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *deltaF {
-		cur, err := deltaSnapshot(*seed, runner)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_DELTA.json")
-		// Diff counts, row accounting, and equivalence pins are all exact
-		// integers from a deterministic chain — gate with zero tolerance.
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, 0, *update, "delta   ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d snapshot(s) drifted beyond tolerance %.3f (use -update to accept)", failed, *tol)
+	if len(drifted) > 0 {
+		return fmt.Errorf("%d snapshot(s) drifted beyond tolerance: %s (use -update to accept)",
+			len(drifted), strings.Join(drifted, ", "))
 	}
 	if created > 0 {
 		fmt.Printf("%d baseline(s) created; gate active on next run\n", created)

@@ -16,7 +16,7 @@ import (
 // extraction of the previous release and a structural diff against it,
 // ExtractStaticDelta rebuilds only the artifacts the diff invalidates and
 // reuses everything else — phrase embeddings, GUI recoveries, inventory
-// entries, sketch rows, and (when sound) the quantized scan tier.
+// entries, and sketch rows.
 //
 // The invariant, property-tested in delta_test.go, is that a delta-built
 // StaticInfo localizes byte-identically to a from-scratch ExtractStatic of
@@ -43,11 +43,6 @@ import (
 //     between "app call" and "framework call". The rescan set is therefore
 //     widened with every class invoking an added or removed class name, on
 //     both graphs (ClassesInvoking).
-//   - quantized tier: patched per-row against the previous tier with
-//     centroids pinned and bounds only ever widened (wordvec.PatchQuant);
-//     bounds stay sound and exact rescoring keeps yields identical, so a
-//     patched tier can differ from a full-built tier only in pruning
-//     efficiency, never in output.
 
 // DeltaStats reports what an incremental extraction reused and recomputed.
 type DeltaStats struct {
@@ -67,9 +62,6 @@ type DeltaStats struct {
 
 	// Per-activity GUI recoveries.
 	GUIsReused, GUIsFresh int
-
-	// Quantized-tier outcome per matrix that carries one.
-	QuantPatched, QuantRebuilt int
 }
 
 // RowsReused returns the total sketch rows copied from the base extraction.
@@ -669,13 +661,12 @@ func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.G
 // buildScanStateDelta is buildScanState with row-level reuse: matrix data
 // rows are appended as usual (the embeddings themselves were already reused
 // value-wise above), but the sketch (projection + residual) of every mapped
-// row is copied from the base matrices instead of re-orthogonalized, and
-// the quantized tier is patched in place when that is sound and profitable.
+// row is copied from the base matrices instead of re-orthogonalized.
 func (info *StaticInfo) buildScanStateDelta(s *Solver, prev *StaticInfo, methodRowMap []int32, guiPrev []int32, stats *DeltaStats) {
 	info.methodMatrix = assembleDeltaMatrix(prev.methodMatrix, methodRowMap, func(r int) *wordvec.Vector {
 		return &info.MethodPhrases[r].Vec
 	})
-	finishDelta(s, info.methodMatrix, prev.methodMatrix, methodRowMap, stats)
+	finishDelta(info.methodMatrix, prev.methodMatrix, methodRowMap)
 
 	// prev.invisibleRows is sorted by (GUI, Widget), so a previous GUI's rows
 	// are contiguous; recording each GUI's first row replaces a full
@@ -718,7 +709,7 @@ func (info *StaticInfo) buildScanStateDelta(s *Solver, prev *StaticInfo, methodR
 		ref := info.invisibleRows[r]
 		return &info.invisibleVecs[ref.GUI][ref.Widget]
 	})
-	finishDelta(s, info.invisibleMatrix, prev.invisibleMatrix, invRowMap, stats)
+	finishDelta(info.invisibleMatrix, prev.invisibleMatrix, invRowMap)
 
 	prevURIVec := make(map[string]wordvec.Vector, len(prev.URIs))
 	for i := range prev.URIs {
@@ -825,37 +816,11 @@ func assembleDeltaMatrix(base *wordvec.Matrix, rowMap []int32, vec func(r int) *
 	return fb
 }
 
-// finishDelta finishes a matrix reusing the base matrix's sketch rows, then
-// applies the solver's quantization policy: the previous tier is patched in
-// place when the full build would also grow a tier, the base has one, and
-// fresh rows are a small minority; otherwise the tier is (re)built from
-// scratch exactly as the full path would.
-func finishDelta(s *Solver, m, base *wordvec.Matrix, rowMap []int32, stats *DeltaStats) {
+// finishDelta finishes a matrix reusing the base matrix's sketch rows.
+func finishDelta(m, base *wordvec.Matrix, rowMap []int32) {
 	if err := m.FinishReuse(base, rowMap); err != nil {
 		// Defensive: an inconsistent row map falls back to the plain finish.
 		m.Finish()
-		s.quantize(m)
-		if m.HasQuant() {
-			stats.QuantRebuilt++
-		}
-		return
-	}
-	fresh := 0
-	for _, sr := range rowMap {
-		if sr < 0 {
-			fresh++
-		}
-	}
-	wouldBuild := s.forceQuant || m.Rows() >= wordvec.QuantMinRows
-	if wouldBuild && base != nil && base.HasQuant() && fresh*4 <= m.Rows() {
-		if ok, err := m.PatchQuant(base, rowMap); err == nil && ok {
-			stats.QuantPatched++
-			return
-		}
-	}
-	s.quantize(m)
-	if m.HasQuant() {
-		stats.QuantRebuilt++
 	}
 }
 

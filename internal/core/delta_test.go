@@ -11,9 +11,7 @@ import (
 // TestDeltaMatchesFullLocalization is the incremental rebuild's central
 // property test: a snapshot whose releases were extracted as deltas against
 // their predecessors must localize byte-identically to a snapshot built
-// from scratch, across seeds, inner parallelism, and the quantized tier
-// (cold: no tier; warm: tier forced, so the delta path patches the base
-// tier in place).
+// from scratch, across seeds and inner parallelism.
 func TestDeltaMatchesFullLocalization(t *testing.T) {
 	for _, seed := range []int64{3, 5, 7, 9} {
 		data := synth.GenerateSample(seed)
@@ -22,57 +20,47 @@ func TestDeltaMatchesFullLocalization(t *testing.T) {
 		if len(reviews) > 12 {
 			reviews = reviews[:12]
 		}
-		for _, quant := range []bool{false, true} {
-			opts := []Option{}
-			if quant {
-				opts = append(opts, WithQuantizedScan())
+		full := NewSnapshot()
+		full.PrecomputeApp(app)
+		delta := NewSnapshot()
+		stats := delta.PrecomputeDelta(app)
+		for i, st := range stats {
+			if !st.Applied {
+				t.Fatalf("seed %d: release %d delta not applied", seed, i)
 			}
-			full := NewSnapshot(opts...)
-			full.PrecomputeApp(app)
-			delta := NewSnapshot(opts...)
-			stats := delta.PrecomputeDelta(app)
-			for i, st := range stats {
-				if !st.Applied {
-					t.Fatalf("seed %d: release %d delta not applied", seed, i)
-				}
-				if i > 0 && st.Full {
-					t.Fatalf("seed %d: release %d fell back to full rebuild (%s)", seed, i, st.Reason)
-				}
+			if i > 0 && st.Full {
+				t.Fatalf("seed %d: release %d fell back to full rebuild (%s)", seed, i, st.Reason)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				fs := NewWithSnapshot(full, WithParallelism(workers))
-				ds := NewWithSnapshot(delta, WithParallelism(workers))
-				for i, rv := range reviews {
-					want := fs.LocalizeReview(app, rv.Text, rv.PublishedAt)
-					got := ds.LocalizeReview(app, rv.Text, rv.PublishedAt)
-					if !reflect.DeepEqual(got.Mappings, want.Mappings) || !reflect.DeepEqual(got.Ranked, want.Ranked) {
-						t.Fatalf("seed %d quant %v workers %d review %d: delta-built output differs from full build",
-							seed, quant, workers, i)
-					}
-					if want.Release != nil && got.Release != want.Release {
-						t.Fatalf("seed %d review %d: release selection differs", seed, i)
-					}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			fs := NewWithSnapshot(full, WithParallelism(workers))
+			ds := NewWithSnapshot(delta, WithParallelism(workers))
+			for i, rv := range reviews {
+				want := fs.LocalizeReview(app, rv.Text, rv.PublishedAt)
+				got := ds.LocalizeReview(app, rv.Text, rv.PublishedAt)
+				if !reflect.DeepEqual(got.Mappings, want.Mappings) || !reflect.DeepEqual(got.Ranked, want.Ranked) {
+					t.Fatalf("seed %d workers %d review %d: delta-built output differs from full build",
+						seed, workers, i)
+				}
+				if want.Release != nil && got.Release != want.Release {
+					t.Fatalf("seed %d review %d: release selection differs", seed, i)
 				}
 			}
-			// The explain traces (which additionally pin scan row counts and
-			// per-match similarities) must agree bit for bit on the float
-			// path; a patched quantized tier may prune differently, so the
-			// trace comparison is float-only.
-			if !quant {
-				fs := NewWithSnapshot(full)
-				ds := NewWithSnapshot(delta)
-				for i, rv := range reviews {
-					_, wantTr := fs.LocalizeReviewTraced(app, rv.Text, rv.PublishedAt)
-					_, gotTr := ds.LocalizeReviewTraced(app, rv.Text, rv.PublishedAt)
-					wj, err1 := wantTr.JSON()
-					gj, err2 := gotTr.JSON()
-					if err1 != nil || err2 != nil {
-						t.Fatalf("trace JSON: %v / %v", err1, err2)
-					}
-					if string(wj) != string(gj) {
-						t.Fatalf("seed %d review %d: delta-built trace differs from full build", seed, i)
-					}
-				}
+		}
+		// The explain traces (which additionally pin scan row counts and
+		// per-match similarities) must agree bit for bit.
+		fs := NewWithSnapshot(full)
+		ds := NewWithSnapshot(delta)
+		for i, rv := range reviews {
+			_, wantTr := fs.LocalizeReviewTraced(app, rv.Text, rv.PublishedAt)
+			_, gotTr := ds.LocalizeReviewTraced(app, rv.Text, rv.PublishedAt)
+			wj, err1 := wantTr.JSON()
+			gj, err2 := gotTr.JSON()
+			if err1 != nil || err2 != nil {
+				t.Fatalf("trace JSON: %v / %v", err1, err2)
+			}
+			if string(wj) != string(gj) {
+				t.Fatalf("seed %d review %d: delta-built trace differs from full build", seed, i)
 			}
 		}
 	}

@@ -4,34 +4,155 @@ import (
 	"reflect"
 	"testing"
 
+	"reviewsolver/internal/apk"
 	"reviewsolver/internal/ctxinfo"
 	"reviewsolver/internal/synth"
+	"reviewsolver/internal/wordvec"
 )
+
+// referenceSolver returns the reference the TestKernel*MatchesLegacy tests
+// compare the kernel against: a sequential solver whose catalog and
+// per-release StaticInfo are clones with sketch-free matrices, so every
+// scan is a brute-force Dot over all rows (no anchor prescreen). Before
+// cloning, every vector the kernel reads from a cache — matrix rows,
+// permission-noun, URI-noun, intent-noun and widget-id vectors — is checked
+// against a fresh PhraseVector of its words, so the reference cannot
+// inherit a stale cache from the code under test.
+func referenceSolver(t *testing.T, app *apk.App) *Solver {
+	t.Helper()
+	s := New()
+	table := *s.catalogVecs()
+	checkCatalogVectors(t, s, &table)
+	table.matrix = unsketched(t, table.matrix)
+	s.catalogVecCache = &table
+	for _, r := range app.Releases {
+		info := *s.StaticFor(r)
+		checkStaticVectors(t, s, &info)
+		info.methodMatrix = unsketched(t, info.methodMatrix)
+		info.invisibleMatrix = unsketched(t, info.invisibleMatrix)
+		s.staticCache[r] = &info
+	}
+	return s
+}
+
+// unsketched clones a matrix's rows without its prescreen sketch.
+func unsketched(t *testing.T, m *wordvec.Matrix) *wordvec.Matrix {
+	t.Helper()
+	c, err := wordvec.MatrixFromParts(m.Data(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// requireRow fails unless matrix row r holds exactly v.
+func requireRow(t *testing.T, m *wordvec.Matrix, r int, v wordvec.Vector, what string) {
+	t.Helper()
+	if r >= m.Rows() || !reflect.DeepEqual(m.Row(r), v[:]) {
+		t.Fatalf("%s: matrix row %d is not the fresh phrase vector", what, r)
+	}
+}
+
+func checkCatalogVectors(t *testing.T, s *Solver, table *catalogTable) {
+	t.Helper()
+	for i := range table.entries {
+		e := &table.entries[i]
+		row := int(table.rowStart[i])
+		for _, p := range apiPhrases(e.api) {
+			requireRow(t, table.matrix, row, s.vec.PhraseVector(p), "catalog "+e.api.Signature())
+			row++
+		}
+		if row != int(table.rowStart[i+1]) {
+			t.Fatalf("catalog %s: %d phrases for rows %d..%d", e.api.Signature(), row-int(table.rowStart[i]),
+				table.rowStart[i], table.rowStart[i+1])
+		}
+		if len(e.permNouns) > 0 && e.permVec != s.vec.PhraseVector(e.permNouns) {
+			t.Fatalf("catalog %s: cached permission vector is stale", e.api.Signature())
+		}
+	}
+	if int(table.rowStart[len(table.entries)]) != table.matrix.Rows() {
+		t.Fatalf("catalog has %d rows, entries cover %d", table.matrix.Rows(), table.rowStart[len(table.entries)])
+	}
+}
+
+func checkStaticVectors(t *testing.T, s *Solver, info *StaticInfo) {
+	t.Helper()
+	if info.methodMatrix.Rows() != len(info.MethodPhrases) {
+		t.Fatalf("%d method rows for %d phrases", info.methodMatrix.Rows(), len(info.MethodPhrases))
+	}
+	for i := range info.MethodPhrases {
+		mp := &info.MethodPhrases[i]
+		fresh := s.vec.PhraseVector(mp.Words)
+		if mp.Vec != fresh {
+			t.Fatalf("method phrase %d: cached vector is stale", i)
+		}
+		requireRow(t, info.methodMatrix, i, fresh, "method phrase")
+	}
+	row := 0
+	for gi := range info.GUIs {
+		for wi, words := range info.GUIs[gi].InvisibleWords {
+			var fresh wordvec.Vector
+			if len(words) > 0 {
+				fresh = s.vec.PhraseVector(words)
+			}
+			if info.invisibleVecs[gi][wi] != fresh {
+				t.Fatalf("GUI %d widget %d: cached widget-id vector is stale", gi, wi)
+			}
+			if len(words) > 0 {
+				requireRow(t, info.invisibleMatrix, row, fresh, "widget id")
+				row++
+			}
+		}
+	}
+	if row != info.invisibleMatrix.Rows() {
+		t.Fatalf("%d widget-id phrases for %d invisible rows", row, info.invisibleMatrix.Rows())
+	}
+	for i := range info.URIs {
+		var fresh wordvec.Vector
+		if len(info.URIs[i].Nouns) > 0 {
+			fresh = s.vec.PhraseVector(info.URIs[i].Nouns)
+		}
+		if info.uriNounVecs[i] != fresh {
+			t.Fatalf("URI %s: cached noun vector is stale", info.URIs[i].URI.URI)
+		}
+	}
+	for i := range info.Intents {
+		if len(info.intentNounVecs[i]) != len(info.Intents[i].Nouns) {
+			t.Fatalf("intent %s: %d vectors for %d nouns", info.Intents[i].Action,
+				len(info.intentNounVecs[i]), len(info.Intents[i].Nouns))
+		}
+		for j, noun := range info.Intents[i].Nouns {
+			if info.intentNounVecs[i][j] != s.vec.PhraseVector([]string{noun}) {
+				t.Fatalf("intent %s noun %q: cached vector is stale", info.Intents[i].Action, noun)
+			}
+		}
+	}
+}
 
 // TestKernelRankingMatchesLegacy is the property test of the kernel layer:
 // across seeded synthetic corpora, the full-pipeline output of the default
 // matrix-kernel matcher (flattened dot scans + anchor prescreen) must be
-// byte-identical to the retired per-struct full-cosine path.
+// byte-identical to the brute-force reference.
 func TestKernelRankingMatchesLegacy(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21} {
 		data := synth.GenerateSample(seed)
 		app := data.App
 
 		kernel := New()
-		legacy := New(WithLegacyCosine())
+		ref := referenceSolver(t, app)
 
 		reviews := data.Reviews
 		if len(reviews) > 25 {
 			reviews = reviews[:25]
 		}
 		for i, rv := range reviews {
-			want := legacy.LocalizeReview(app, rv.Text, rv.PublishedAt)
+			want := ref.LocalizeReview(app, rv.Text, rv.PublishedAt)
 			got := kernel.LocalizeReview(app, rv.Text, rv.PublishedAt)
 			if !reflect.DeepEqual(got.Mappings, want.Mappings) {
-				t.Fatalf("seed %d review %d: kernel mappings differ from legacy cosine", seed, i)
+				t.Fatalf("seed %d review %d: kernel mappings differ from the brute-force reference", seed, i)
 			}
 			if !reflect.DeepEqual(got.Ranked, want.Ranked) {
-				t.Fatalf("seed %d review %d: kernel ranking differs from legacy cosine", seed, i)
+				t.Fatalf("seed %d review %d: kernel ranking differs from the brute-force reference", seed, i)
 			}
 		}
 	}
@@ -39,12 +160,12 @@ func TestKernelRankingMatchesLegacy(t *testing.T) {
 
 // TestKernelSnapshotParallelMatchesLegacy stacks every layer at once: a
 // snapshot-backed solver with inner parallelism and the kernel matcher must
-// reproduce the plain sequential legacy-cosine solver byte for byte.
+// reproduce the sequential brute-force reference byte for byte.
 func TestKernelSnapshotParallelMatchesLegacy(t *testing.T) {
 	data := synth.GenerateSample(5)
 	app := data.App
 
-	legacy := New(WithLegacyCosine())
+	ref := referenceSolver(t, app)
 	sn := NewSnapshot()
 	kernel := NewWithSnapshot(sn, WithParallelism(4))
 
@@ -53,13 +174,13 @@ func TestKernelSnapshotParallelMatchesLegacy(t *testing.T) {
 		reviews = reviews[:20]
 	}
 	for i, rv := range reviews {
-		want := legacy.LocalizeReview(app, rv.Text, rv.PublishedAt)
+		want := ref.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		got := kernel.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		if !reflect.DeepEqual(got.Mappings, want.Mappings) {
-			t.Fatalf("review %d: snapshot+parallel kernel mappings differ from legacy", i)
+			t.Fatalf("review %d: snapshot+parallel kernel mappings differ from the reference", i)
 		}
 		if !reflect.DeepEqual(got.Ranked, want.Ranked) {
-			t.Fatalf("review %d: snapshot+parallel kernel ranking differs from legacy", i)
+			t.Fatalf("review %d: snapshot+parallel kernel ranking differs from the reference", i)
 		}
 	}
 }
@@ -71,12 +192,12 @@ func TestKernelPerContextMatchesLegacy(t *testing.T) {
 	app := data.App
 
 	kernel := New()
-	legacy := New(WithLegacyCosine())
+	ref := referenceSolver(t, app)
 
 	release := app.Releases[len(app.Releases)-1]
 	prev := app.Releases[len(app.Releases)-2]
 	kInfo := kernel.StaticFor(release)
-	lInfo := legacy.StaticFor(release)
+	rInfo := ref.StaticFor(release)
 
 	reviews := data.Reviews
 	if len(reviews) > 15 {
@@ -85,12 +206,26 @@ func TestKernelPerContextMatchesLegacy(t *testing.T) {
 	for i, rv := range reviews {
 		ra := kernel.AnalyzeReview(rv.Text)
 		for _, ctx := range ctxinfo.All() {
-			want := legacy.LocalizeByContext(ctx, ra, lInfo, prev, release)
+			want := ref.LocalizeByContext(ctx, ra, rInfo, prev, release)
 			got := kernel.LocalizeByContext(ctx, ra, kInfo, prev, release)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("review %d context %s: kernel mappings differ from legacy", i, ctx)
+				t.Fatalf("review %d context %s: kernel mappings differ from the reference", i, ctx)
 			}
 		}
+	}
+}
+
+// TestReferenceScansEveryRow pins what makes the reference a reference:
+// its matrices carry no sketch, so a scan evaluates every row.
+func TestReferenceScansEveryRow(t *testing.T) {
+	data := synth.GenerateSample(3)
+	ref := referenceSolver(t, data.App)
+	info := ref.StaticFor(data.App.Releases[len(data.App.Releases)-1])
+	if pruned, evaluated, _ := ref.KernelScanStats(info, "fetch mail"); pruned != 0 || evaluated != info.MethodRows() {
+		t.Fatalf("reference method scan pruned %d, evaluated %d of %d rows", pruned, evaluated, info.MethodRows())
+	}
+	if pruned, evaluated, _ := ref.CatalogScanStats("fetch mail"); pruned != 0 || evaluated != ref.CatalogRows() {
+		t.Fatalf("reference catalog scan pruned %d, evaluated %d of %d rows", pruned, evaluated, ref.CatalogRows())
 	}
 }
 

@@ -115,17 +115,14 @@ func dedupMappings(ms []Mapping) []Mapping {
 // phrases derived from method names and Code2vec summaries. The candidate
 // loop is chunked across workers (WithParallelism); chunk results merge in
 // candidate order, so output order matches the sequential pass exactly. The
-// default matcher scans the flattened method-phrase matrix with the
-// dot-only kernel and anchor prescreen; WithLegacyCosine restores the
-// per-struct full-cosine pass (byte-identical output, property-tested).
+// matcher scans the flattened method-phrase matrix with the dot-only kernel
+// and anchor prescreen.
 func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
-	useKernel := !s.legacyCosine && info.methodMatrix != nil
 	threshold := s.vec.Threshold()
 	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
-		v := prep.vec
 		phraseText := prep.text
 		q := &prep.q
 		res := parallelChunks(len(info.MethodPhrases), s.parallelism,
@@ -154,20 +151,8 @@ func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *o
 						})
 					}
 				}
-				if useKernel {
-					ck.scan = info.methodMatrix.ScanThresholdCount(q, threshold, start, end,
-						func(row int, dot float64) { emit(row, dot) })
-					return ck
-				}
-				for i := start; i < end; i++ {
-					ck.scan.Evaluated++
-					c := wordvec.Cosine(v, info.MethodPhrases[i].Vec)
-					if c < threshold {
-						continue
-					}
-					ck.scan.Matched++
-					emit(i, c)
-				}
+				ck.scan = info.methodMatrix.ScanThresholdCount(q, threshold, start, end,
+					func(row int, dot float64) { emit(row, dot) })
 				return ck
 			})
 		out = append(out, res.maps...)
@@ -271,16 +256,12 @@ func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Revie
 }
 
 // matchInvisible compares a review phrase against the expanded widget-id
-// phrases of each activity. The default matcher scans the flattened
-// widget-id matrix (rows in the same nested GUI×widget order the legacy
-// loop visits, so output order is identical); WithLegacyCosine restores the
-// per-struct cosine pass over the label vectors precomputed at extraction
-// time. The content-word vector and its prescreen query come precomputed on
-// the cached phrase prep.
+// phrases of each activity by scanning the flattened widget-id matrix (rows
+// in nested GUI×widget order, so output follows the activities). The
+// content-word prescreen query comes precomputed on the cached phrase prep.
 func (s *Solver) matchInvisible(prep *phrasePrep, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	phraseText := prep.text
-	v := prep.contentVec
 	simHist := s.simHist()
 	emit := func(gi, wi int, sim float64) {
 		g := &info.GUIs[gi]
@@ -300,41 +281,13 @@ func (s *Solver) matchInvisible(prep *phrasePrep, info *StaticInfo, tr *obs.Revi
 			})
 		}
 	}
-	var sc wordvec.ScanCount
-	if !s.legacyCosine && info.invisibleMatrix != nil {
-		sc = info.invisibleMatrix.ScanThresholdCount(&prep.contentQ, s.vec.Threshold(), 0, info.invisibleMatrix.Rows(),
-			func(row int, dot float64) {
-				ref := info.invisibleRows[row]
-				emit(int(ref.GUI), int(ref.Widget), dot)
-			})
-		if s.rec != nil || tr != nil {
-			s.noteScan(tr, stageGUI, "widget_ids", phraseText, info.invisibleMatrix.Rows(), sc)
-		}
-		return out
-	}
-	for gi := range info.GUIs {
-		g := &info.GUIs[gi]
-		for wi, idWords := range g.InvisibleWords {
-			if len(idWords) == 0 {
-				continue
-			}
-			var idVec wordvec.Vector
-			if info.invisibleVecs != nil {
-				idVec = info.invisibleVecs[gi][wi]
-			} else {
-				idVec = s.vec.PhraseVector(idWords)
-			}
-			sc.Evaluated++
-			c := wordvec.Cosine(v, idVec)
-			if c < s.vec.Threshold() {
-				continue
-			}
-			sc.Matched++
-			emit(gi, wi, c)
-		}
-	}
+	sc := info.invisibleMatrix.ScanThresholdCount(&prep.contentQ, s.vec.Threshold(), 0, info.invisibleMatrix.Rows(),
+		func(row int, dot float64) {
+			ref := info.invisibleRows[row]
+			emit(int(ref.GUI), int(ref.Widget), dot)
+		})
 	if s.rec != nil || tr != nil {
-		s.noteScan(tr, stageGUI, "widget_ids", phraseText, sc.Evaluated, sc)
+		s.noteScan(tr, stageGUI, "widget_ids", phraseText, info.invisibleMatrix.Rows(), sc)
 	}
 	return out
 }
@@ -701,21 +654,18 @@ var collectionVerbs = map[string]struct{}{
 // localizeAPIURIIntent implements Algorithm 1: verb phrases against API
 // phrases, verb-phrase objects against URI nouns and intent nouns. The
 // whole-catalog API scan — the dominant Table 15 cost — is chunked across
-// workers with a deterministic candidate-order merge. The default matcher
-// scans the flattened catalog matrix with the dot-only kernel and anchor
-// prescreen, reading the permission-noun and URI/intent-noun vectors cached
-// at construction/extraction time; WithLegacyCosine restores the per-struct
-// full-cosine pass (byte-identical output, property-tested).
+// workers with a deterministic candidate-order merge. The matcher scans the
+// flattened catalog matrix with the dot-only kernel and anchor prescreen,
+// reading the permission-noun and URI/intent-noun vectors cached at
+// construction/extraction time.
 func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	table := s.catalogVecs()
-	useKernel := !s.legacyCosine
 	threshold := s.vec.Threshold()
 	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		vp := ra.VerbPhrases[vi]
 		prep := s.fe.prep(s, ra.vpKey(vi), vp)
-		v := prep.vec
 		phraseText := prep.text
 		_, isCollect := collectionVerbs[vp.Verb]
 		hasObject := prep.hasObj
@@ -730,38 +680,19 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 				var ck scanChunk
 				for ei := start; ei < end; ei++ {
 					entry := &table.entries[ei]
-					matched := false
 					sim := 0.0
 					source := "API"
-					if useKernel {
-						var esc wordvec.ScanCount
-						matched, esc = table.matrix.AnyAtLeastCount(q, threshold,
-							int(table.rowStart[ei]), int(table.rowStart[ei+1]))
-						ck.scan.Merge(esc)
-						if matched {
-							sim = threshold // AnyAtLeast stops at the hit; record the floor
-						}
-					} else {
-						for _, pv := range entry.vecs {
-							ck.scan.Evaluated++
-							if c := wordvec.Cosine(v, pv); c >= threshold {
-								matched, sim = true, c
-								ck.scan.Matched++
-								break
-							}
-						}
+					matched, esc := table.matrix.AnyAtLeastCount(q, threshold,
+						int(table.rowStart[ei]), int(table.rowStart[ei+1]))
+					ck.scan.Merge(esc)
+					if matched {
+						sim = threshold // AnyAtLeast stops at the hit; record the floor
 					}
 					// Permission-protected personal data: collection verb +
 					// object similar to the permission nouns (cached per
 					// entry — the seed re-derived them per phrase×entry).
 					if !matched && isCollect && hasObject && len(entry.permNouns) > 0 {
-						var psim float64
-						if useKernel {
-							psim = wordvec.Dot(objVec, entry.permVec)
-						} else {
-							psim = s.vec.Similarity(vp.Object, entry.permNouns)
-						}
-						if psim >= threshold {
+						if psim := wordvec.Dot(objVec, entry.permVec); psim >= threshold {
 							matched, sim, source = true, psim, "permission"
 						}
 					}
@@ -804,12 +735,7 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 			if len(use.Nouns) == 0 {
 				continue
 			}
-			var sim float64
-			if useKernel && info.uriNounVecs != nil {
-				sim = wordvec.Dot(objVec, info.uriNounVecs[ui])
-			} else {
-				sim = wordvec.Cosine(objVec, s.vec.PhraseVector(use.Nouns))
-			}
+			sim := wordvec.Dot(objVec, info.uriNounVecs[ui])
 			if sim < threshold {
 				continue
 			}
@@ -836,14 +762,9 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 		for ii := range info.Intents {
 			use := &info.Intents[ii]
 			matched, sim := false, 0.0
-			for ni, noun := range use.Nouns {
-				if useKernel && info.intentNounVecs != nil {
-					if d := wordvec.Dot(objVec, info.intentNounVecs[ii][ni]); d >= threshold {
-						matched, sim = true, d
-						break
-					}
-				} else if c := s.vec.Similarity(vp.Object, []string{noun}); c >= threshold {
-					matched, sim = true, c
+			for ni := range use.Nouns {
+				if d := wordvec.Dot(objVec, info.intentNounVecs[ii][ni]); d >= threshold {
+					matched, sim = true, d
 					break
 				}
 			}

@@ -28,9 +28,8 @@
 // Loading copies reused rows out of the base into fresh heap arrays: the
 // delta-loaded snapshot holds no references into the base IMAGE's float
 // blocks, so the two images have independent lifetimes. Only the catalog
-// table is shared by pointer with the base snapshot (see
-// Snapshot.borrowedCatalog); MaterializedBytes reports the copied footprint
-// for registry accounting.
+// table is shared by pointer with the base snapshot; MaterializedBytes
+// reports the copied footprint for registry accounting.
 package core
 
 import (
@@ -198,9 +197,7 @@ func SaveSnapshotDelta(sn *Snapshot, app *apk.App, basePath, path string) error 
 
 // encodeReleaseDelta writes one release as a patch against base release bi:
 // full inventory sections, row maps in REL_DELTA, and float blocks holding
-// only the rows the base cannot supply. The quantized tier, when present, is
-// written in full — its codes are an order of magnitude smaller than the
-// float rows, and a self-contained tier keeps the loader trivial.
+// only the rows the base cannot supply.
 func encodeReleaseDelta(w *snapfile.Writer, ri, bi int, info, baseInfo *StaticInfo) error {
 	if err := encodeReleaseMeta(w, ri, info); err != nil {
 		return err
@@ -222,8 +219,6 @@ func encodeReleaseDelta(w *snapfile.Writer, ri, bi int, info, baseInfo *StaticIn
 
 	writeFreshRows(w, ri, relMData, relMProj, relMRes, info.methodMatrix, mMap)
 	writeFreshRows(w, ri, relIData, relIProj, relIRes, info.invisibleMatrix, iMap)
-	encodeQuant(w, relSection(ri, relMQF), relSection(ri, relMQB), info.methodMatrix)
-	encodeQuant(w, relSection(ri, relIQF), relSection(ri, relIQB), info.invisibleMatrix)
 	return nil
 }
 
@@ -388,9 +383,8 @@ func LoadSnapshotDeltaBytes(data []byte, base *Snapshot, baseApp *apk.App, baseC
 	table := base.catalogVecs
 
 	sn := &Snapshot{
-		catalogVecs:     table,
-		borrowedCatalog: true,
-		static:          make(map[*apk.Release]*staticEntry, len(app.Releases)),
+		catalogVecs: table,
+		static:      make(map[*apk.Release]*staticEntry, len(app.Releases)),
 	}
 	infos := make([]*StaticInfo, len(app.Releases))
 	heapBytes := make([]int64, len(app.Releases))
@@ -401,13 +395,13 @@ func LoadSnapshotDeltaBytes(data []byte, base *Snapshot, baseApp *apk.App, baseC
 			wg.Add(1)
 			go func(ri int, release *apk.Release) {
 				defer wg.Done()
-				infos[ri], heapBytes[ri], errs[ri] = loadDeltaRelease(r, ri, release, table, base, baseApp, s.forceQuant)
+				infos[ri], heapBytes[ri], errs[ri] = loadDeltaRelease(r, ri, release, table, base, baseApp)
 			}(ri, release)
 		}
 		wg.Wait()
 	} else {
 		for ri, release := range app.Releases {
-			infos[ri], heapBytes[ri], errs[ri] = loadDeltaRelease(r, ri, release, table, base, baseApp, s.forceQuant)
+			infos[ri], heapBytes[ri], errs[ri] = loadDeltaRelease(r, ri, release, table, base, baseApp)
 		}
 	}
 	for ri, release := range app.Releases {
@@ -431,10 +425,10 @@ func LoadSnapshotDeltaBytes(data []byte, base *Snapshot, baseApp *apk.App, baseC
 // releases materialize their matrices from base rows plus the image's fresh
 // rows; self-contained releases (no REL_DELTA section) go through the
 // standard zero-copy path.
-func loadDeltaRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalogTable, base *Snapshot, baseApp *apk.App, force bool) (*StaticInfo, int64, error) {
+func loadDeltaRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalogTable, base *Snapshot, baseApp *apk.App) (*StaticInfo, int64, error) {
 	dPayload, ok := r.Section(relSection(ri, relDelta))
 	if !ok {
-		info, err := loadRelease(r, ri, release, table, force)
+		info, err := loadRelease(r, ri, release, table)
 		return info, 0, err
 	}
 	d := snapfile.NewDecZeroCopy(dPayload)
@@ -460,7 +454,7 @@ func loadDeltaRelease(r *snapfile.Reader, ri int, release *apk.Release, table *c
 	if info.invisibleMatrix, err = materializeMatrix(r, ri, relIData, relIProj, relIRes, baseInfo.invisibleMatrix, iMap, &bytes); err != nil {
 		return nil, 0, fmt.Errorf("invisible matrix: %w", err)
 	}
-	if err := attachReleaseMatrices(r, ri, info, force); err != nil {
+	if err := attachReleaseMatrices(info); err != nil {
 		return nil, 0, err
 	}
 	return info, bytes, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -130,39 +131,6 @@ func TestSnapshotDeltaDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaQuant: a forced quantized tier survives the delta format.
-func TestSnapshotDeltaQuant(t *testing.T) {
-	data := synth.GenerateSample(3)
-	app := data.App
-	if len(app.Releases) < 2 {
-		t.Skip("sample app has a single release")
-	}
-	baseApp := &apk.App{Package: app.Package, Name: app.Name, Releases: app.Releases[:len(app.Releases)-1]}
-	baseImg, err := EncodeSnapshot(NewSnapshot(WithQuantizedScan()), baseApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltaImg, err := EncodeSnapshotDelta(NewSnapshot(WithQuantizedScan()), app, baseImg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsn, dApp, err := LoadSnapshotDeltaImages(deltaImg, baseImg, WithQuantizedScan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewSnapshot(WithQuantizedScan())
-	want.PrecomputeApp(app)
-	ds := NewWithSnapshot(dsn)
-	ws := NewWithSnapshot(want)
-	for i, rv := range data.Reviews {
-		got := ds.LocalizeReview(dApp, rv.Text, rv.PublishedAt)
-		exp := ws.LocalizeReview(app, rv.Text, rv.PublishedAt)
-		if !reflect.DeepEqual(got.Mappings, exp.Mappings) || !reflect.DeepEqual(got.Ranked, exp.Ranked) {
-			t.Fatalf("review %d: quantized delta load differs from in-memory build", i)
-		}
-	}
-}
-
 // TestSnapshotDeltaRejections pins the typed error surface: plain loader on
 // a delta image, delta loader on a full image, and every base mismatch.
 func TestSnapshotDeltaRejections(t *testing.T) {
@@ -189,5 +157,95 @@ func TestSnapshotDeltaRejections(t *testing.T) {
 	other := &apk.App{Package: app.Package + ".other", Name: app.Name, Releases: baseApp.Releases}
 	if _, err := EncodeSnapshotDelta(NewSnapshot(), other, baseImg); !errors.Is(err, ErrDeltaBaseMismatch) {
 		t.Fatalf("cross-app delta encode: got %v, want ErrDeltaBaseMismatch", err)
+	}
+}
+
+// withReservedSections re-emits an image with junk payloads (valid CRCs)
+// appended under the reserved quantized-tier section IDs that older writers
+// filled: the catalog pair and the four per-release IDs of every release.
+func withReservedSections(t *testing.T, img []byte, releases int) []byte {
+	t.Helper()
+	r, err := snapfile.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snapfile.NewWriter()
+	for i := 0; i < r.SectionCount(); i++ {
+		id := binary.LittleEndian.Uint32(img[32+32*i:])
+		payload, _ := r.Section(id)
+		w.Add(id, payload)
+	}
+	junk := []byte("retired quantized tier \x00\x01\x02\xff")
+	w.Add(secCatQF, junk)
+	w.Add(secCatQB, junk)
+	for ri := 0; ri < releases; ri++ {
+		for _, which := range []int{relMQF, relMQB, relIQF, relIQB} {
+			w.Add(relSection(ri, which), junk)
+		}
+	}
+	return w.Bytes()
+}
+
+// TestOldImageQuantSectionsIgnored: images carrying the retired quantized
+// tier's sections load on both the full and the delta path and localize
+// byte-identically to the plain images; re-encoding drops the sections.
+func TestOldImageQuantSectionsIgnored(t *testing.T) {
+	data := synth.GenerateSample(3)
+	app, baseApp, baseImg := deltaFixture(t, 3)
+	fullImg, err := EncodeSnapshot(NewSnapshot(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldFull := withReservedSections(t, fullImg, len(app.Releases))
+	oldBase := withReservedSections(t, baseImg, len(baseApp.Releases))
+	oldDelta, err := EncodeSnapshotDelta(NewSnapshot(), app, oldBase)
+	if err != nil {
+		t.Fatalf("encode delta against an old base: %v", err)
+	}
+	oldDelta = withReservedSections(t, oldDelta, len(app.Releases))
+
+	fsn, fApp, err := LoadSnapshotBytes(fullImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	osn, oApp, err := LoadSnapshotBytes(oldFull)
+	if err != nil {
+		t.Fatalf("load old full image: %v", err)
+	}
+	if re, err := EncodeSnapshot(osn, oApp); err != nil || string(re) != string(fullImg) {
+		t.Fatalf("re-encoding an old image is not the plain image (err %v)", err)
+	}
+	dsn, dApp, err := LoadSnapshotDeltaImages(oldDelta, oldBase)
+	if err != nil {
+		t.Fatalf("load old delta image: %v", err)
+	}
+
+	want := NewWithSnapshot(fsn)
+	reviews := data.Reviews
+	if len(reviews) > 10 {
+		reviews = reviews[:10]
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Solver
+		app  *apk.App
+	}{{"full", NewWithSnapshot(osn), oApp}, {"delta", NewWithSnapshot(dsn), dApp}} {
+		for i, rv := range reviews {
+			_, wantTr := want.LocalizeReviewTraced(fApp, rv.Text, rv.PublishedAt)
+			_, gotTr := tc.s.LocalizeReviewTraced(tc.app, rv.Text, rv.PublishedAt)
+			wj, err1 := wantTr.JSON()
+			gj, err2 := gotTr.JSON()
+			if err1 != nil || err2 != nil {
+				t.Fatalf("trace JSON: %v / %v", err1, err2)
+			}
+			if string(wj) != string(gj) {
+				t.Fatalf("%s path review %d: old image localizes differently", tc.name, i)
+			}
+			w := want.LocalizeReview(fApp, rv.Text, rv.PublishedAt)
+			g := tc.s.LocalizeReview(tc.app, rv.Text, rv.PublishedAt)
+			if !reflect.DeepEqual(g.Mappings, w.Mappings) || !reflect.DeepEqual(g.Ranked, w.Ranked) {
+				t.Fatalf("%s path review %d: old image mappings differ", tc.name, i)
+			}
+		}
 	}
 }

@@ -107,14 +107,14 @@ type StaticInfo struct {
 	//
 	// The kernel matcher walks these contiguous structure-of-arrays blocks
 	// instead of chasing the per-candidate structs above; the structs stay
-	// for evidence strings and the legacy cosine path.
+	// for evidence strings.
 
 	// methodMatrix rows are parallel to MethodPhrases.
 	methodMatrix *wordvec.Matrix
 
 	// invisibleMatrix holds every non-empty widget-id phrase vector;
-	// invisibleRows maps its rows back to (GUI index, widget index), in the
-	// same nested order the legacy loops visit.
+	// invisibleRows maps its rows back to (GUI index, widget index), in
+	// nested GUI×widget order.
 	invisibleMatrix *wordvec.Matrix
 	invisibleRows   []invisibleRef
 
@@ -174,7 +174,6 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 		info.methodMatrix.Append(info.MethodPhrases[i].Vec)
 	}
 	info.methodMatrix.Finish()
-	s.quantize(info.methodMatrix)
 
 	info.invisibleMatrix = wordvec.NewMatrix(0)
 	for gi := range info.GUIs {
@@ -187,7 +186,6 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 		}
 	}
 	info.invisibleMatrix.Finish()
-	s.quantize(info.invisibleMatrix)
 
 	info.uriNounVecs = make([]wordvec.Vector, len(info.URIs))
 	for i := range info.URIs {

@@ -48,7 +48,6 @@ const (
 	metricRegistryResident = "serve_registry_resident"
 	metricRegistryBytes    = "serve_registry_loaded_bytes"
 	metricRegistryBudget   = "serve_registry_budget_bytes"
-	metricRegistryQuant    = "serve_registry_quant_bytes"
 
 	metricLoads         = "serve_snapshot_loads_total"
 	metricDeltaLoads    = "serve_snapshot_delta_loads_total"
@@ -106,9 +105,6 @@ type entry struct {
 	// later version registered as a delta image finds its base by matching
 	// this against the delta's recorded base checksum.
 	imgCRC uint32
-	// quantBytes is the quantized-tier share of bytes, tracked separately
-	// so /metrics can expose how much of the budget the tiers consume.
-	quantBytes int64
 
 	refs     int  // in-flight leases
 	retired  bool // hot-swapped out; frees when refs drain
@@ -152,7 +148,6 @@ type Registry struct {
 	total   int64             // resident bytes
 
 	budget      int64
-	quantTotal  int64 // resident quantized-tier bytes (subset of total)
 	poolWorkers int
 	loadOpts    []core.Option
 	inj         *faultinject.Injector
@@ -237,16 +232,14 @@ func (r *Registry) retireLocked(old *entry) {
 // freeLocked drops a resident snapshot's memory and accounting.
 func (r *Registry) freeLocked(e *entry) {
 	r.total -= e.bytes
-	r.quantTotal -= e.quantBytes
 	e.snap, e.appIR, e.solver, e.pool = nil, nil, nil, nil
-	e.bytes, e.quantBytes, e.imgCRC = 0, 0, 0
+	e.bytes, e.imgCRC = 0, 0
 	e.state = stateCold
 	if e.retired {
 		r.met.Counter(metricRetiredFreed).Add(1)
 		r.note(obs.EventRetireFreed, e.app, e.version, "")
 	}
 	r.met.Gauge(metricRegistryBytes).Set(r.total)
-	r.met.Gauge(metricRegistryQuant).Set(r.quantTotal)
 	r.met.Gauge(metricRegistryResident).Set(int64(r.lru.Len()))
 }
 
@@ -389,13 +382,10 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 				snap, app, err = core.LoadSnapshotBytes(img, opts...)
 			}
 			if err == nil {
-				// An entry's cost is the retained image plus whatever the
-				// quantized scan tiers allocated beyond it (lazily built
-				// tiers for images without quant sections, decoded index
-				// arrays for adopted ones) plus, for delta loads, the rows
-				// materialized from the base — otherwise MaxBytes eviction
-				// would run against an undercount.
-				size = int64(len(img)) + snap.QuantBytes() + snap.MaterializedBytes()
+				// An entry's cost is the retained image plus, for delta
+				// loads, the rows materialized from the base — otherwise
+				// MaxBytes eviction would run against an undercount.
+				size = int64(len(img)) + snap.MaterializedBytes()
 				imgCRC = snapfile.Checksum(img)
 			}
 		}
@@ -434,7 +424,6 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 	e.solver = core.NewWithSnapshot(snap)
 	e.pool = core.NewPoolWithSnapshot(r.poolWorkers, snap)
 	e.bytes = size
-	e.quantBytes = snap.QuantBytes()
 	e.imgCRC = imgCRC
 	e.loads++
 	if e.failures > 0 {
@@ -444,7 +433,6 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 	}
 	e.state = stateLive
 	r.total += size
-	r.quantTotal += e.quantBytes
 	r.lruInsertLocked(e)
 	r.evictLocked()
 	r.met.Counter(metricLoads).Add(1)
@@ -454,7 +442,6 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 		r.note(obs.EventDeltaLoad, e.app, e.version, "base "+deltaBase)
 	}
 	r.met.Gauge(metricRegistryBytes).Set(r.total)
-	r.met.Gauge(metricRegistryQuant).Set(r.quantTotal)
 	r.met.Gauge(metricRegistryResident).Set(int64(r.lru.Len()))
 	return nil
 }

@@ -438,35 +438,20 @@ func TestSlowLoadAbandonedGoesColdNotQuarantined(t *testing.T) {
 	}
 }
 
-// TestQuantizedLoadChargesTierBytes: with WithQuantizedScan load options the
-// quantized scan tiers count against the registry's byte budget — an entry
-// must cost strictly more than its retained image, by exactly the snapshot's
-// reported tier bytes.
-func TestQuantizedLoadChargesTierBytes(t *testing.T) {
+// TestLoadChargesImageBytes: a full-image load costs the registry exactly
+// the retained image, in the resident total and in the entry's status.
+func TestLoadChargesImageBytes(t *testing.T) {
 	_, img := sampleImage(t)
-	r := NewRegistry(RegistryConfig{
-		LoadOptions: []core.Option{core.WithQuantizedScan()},
-	})
+	r := NewRegistry(RegistryConfig{})
 	r.RegisterBytes("app.a", "v1", img)
 	l, err := r.Acquire(context.Background(), "app.a", "")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
 	defer l.Release()
-	// The tier is deterministic for a given image + options, so an
-	// independent reference load yields the exact byte count the registry
-	// must have charged on top of the retained image.
-	ref, _, err := core.LoadSnapshotBytes(img, core.WithQuantizedScan())
-	if err != nil {
-		t.Fatalf("reference load: %v", err)
-	}
-	qb := ref.QuantBytes()
-	if qb <= 0 {
-		t.Fatal("reference quantized load reports no tier bytes")
-	}
-	want := int64(len(img)) + qb
+	want := int64(len(img))
 	if got := r.ResidentBytes(); got != want {
-		t.Fatalf("ResidentBytes = %d, want image %d + tier %d", got, len(img), qb)
+		t.Fatalf("ResidentBytes = %d, want image %d", got, want)
 	}
 	for _, st := range r.Apps() {
 		if st.App == "app.a" && st.Bytes != want {

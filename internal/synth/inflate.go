@@ -8,7 +8,7 @@ import (
 
 // InflateApp pads an app to serve scale: alongside every release's real
 // classes ride `copies` decorated clones of the first release's class set.
-// The padding mirrors what FleetPhrases argues about real APKs — hundreds
+// The padding mirrors real APKs, which carry hundreds
 // of near-identical framework-shaped classes (vendored libraries, generated
 // adapters) that a version bump never touches. The clones are built once
 // from the first release and shared by every release, so cross-release

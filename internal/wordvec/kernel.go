@@ -96,10 +96,6 @@ type Matrix struct {
 	// norm per row.
 	proj []float64 // rows × K
 	res  []float64 // rows
-
-	// Quantized scan tier (nil until EnsureQuant; see quant.go): integer row
-	// codes with sound error bounds plus the inverted-file cluster index.
-	qt *quantTier
 }
 
 // NewMatrix returns an empty matrix with capacity for capRows rows.
@@ -252,17 +248,9 @@ func RowVectors(data []float64) ([]Vector, error) {
 // projections and residual norm, computed once and reused across every
 // candidate row (and across worker chunks).
 type Query struct {
-	Vec   Vector
-	proj  []float64
-	resid Vector // Vec minus its anchor-basis projection (q_⊥)
-	res   float64
-
-	// Quantized form for the integer tier (see quant.go), prepared once so
-	// per-entry scans never re-quantize: int16 codes, dequantization scale,
-	// and the exact quantization error norm ‖Vec − qscale·qi‖.
-	qi     [Dim]int16
-	qscale float64
-	qerr   float64
+	Vec  Vector
+	proj []float64
+	res  float64
 }
 
 // PrepareQuery projects a query vector onto the anchor basis for
@@ -278,9 +266,7 @@ func PrepareQuery(v Vector) Query {
 			resid[i] -= p * basis[bi][i]
 		}
 	}
-	q.resid = resid
 	q.res = math.Sqrt(Dot(resid, resid))
-	q.qscale, q.qerr = quantizeQuery(&q.Vec, &q.qi)
 	return q
 }
 
@@ -296,17 +282,14 @@ func (m *Matrix) bound(q *Query, r int) float64 {
 }
 
 // ScanCount tallies how the prescreen behaved over one scan: Pruned rows
-// were skipped on the float sketch bound alone, IVFPruned rows died with
-// their whole quantized-tier cluster, BoundPruned rows were skipped on the
-// quantized per-row bound, Evaluated rows paid a full float dot product,
-// Matched rows crossed the threshold. Every per-row outcome is a pure
+// were skipped on the sketch bound alone, Evaluated rows paid a full dot
+// product, Matched rows crossed the threshold. Every per-row outcome is a pure
 // function of (model, query, row), so counts are exactly reproducible and
 // chunk-partition invariant — the telemetry layer aggregates them per
 // worker chunk and cmd/benchgate gates them to catch kernel regressions
 // without wall-clock noise.
 type ScanCount struct {
 	Pruned, Evaluated, Matched int
-	IVFPruned, BoundPruned     int
 }
 
 // Merge accumulates another chunk's counts.
@@ -314,12 +297,7 @@ func (c *ScanCount) Merge(o ScanCount) {
 	c.Pruned += o.Pruned
 	c.Evaluated += o.Evaluated
 	c.Matched += o.Matched
-	c.IVFPruned += o.IVFPruned
-	c.BoundPruned += o.BoundPruned
 }
-
-// TotalPruned returns the rows skipped by any tier without a full dot.
-func (c ScanCount) TotalPruned() int { return c.Pruned + c.IVFPruned + c.BoundPruned }
 
 // ScanThreshold calls yield(row, dot) in row order for every row in
 // [start, end) whose dot with the query reaches the threshold. With a
@@ -334,9 +312,6 @@ func (m *Matrix) ScanThreshold(q *Query, threshold float64, start, end int, yiel
 // bookkeeping is three register increments alongside the bound test, so
 // the counted scan is the only scan — there is no separate stats pass.
 func (m *Matrix) ScanThresholdCount(q *Query, threshold float64, start, end int, yield func(row int, dot float64)) ScanCount {
-	if m.qt != nil {
-		return m.qt.scanThreshold(m, q, threshold, start, end, yield)
-	}
 	var sc ScanCount
 	cutoff := threshold - prescreenEps
 	for r := start; r < end; r++ {
@@ -364,9 +339,6 @@ func (m *Matrix) AnyAtLeast(q *Query, threshold float64, start, end int) bool {
 // touched: because the scan stops at the first hit, Matched is at most 1
 // and rows after the hit are neither pruned nor evaluated.
 func (m *Matrix) AnyAtLeastCount(q *Query, threshold float64, start, end int) (bool, ScanCount) {
-	if m.qt != nil {
-		return m.qt.anyAtLeast(m, q, threshold, start, end)
-	}
 	var sc ScanCount
 	cutoff := threshold - prescreenEps
 	for r := start; r < end; r++ {
