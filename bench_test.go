@@ -165,6 +165,16 @@ func BenchmarkLocalizerUpdateDiff(b *testing.B) {
 
 // --- component micro-benchmarks ---------------------------------------------------
 
+// BenchmarkBoostedTreesFit measures training the review classifier as the
+// CLIs and reviewd do at start-up: vectorizer fit plus boosted-tree fit.
+func BenchmarkBoostedTreesFit(b *testing.B) {
+	docs := synth.TrainingCorpus(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		textclass.TrainOn(docs, func() textclass.Classifier { return textclass.NewBoostedTrees() })
+	}
+}
+
 func BenchmarkClassifierPredict(b *testing.B) {
 	vec, clf := textclass.TrainOn(synth.TrainingCorpus(1),
 		func() textclass.Classifier { return textclass.NewBoostedTrees() })

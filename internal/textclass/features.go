@@ -31,6 +31,7 @@ type FeatureVector map[int]float64
 // It must be fitted on a corpus before transforming.
 type Vectorizer struct {
 	vocab    map[string]int
+	names    []string // feature index -> feature string, the inverse of vocab
 	idf      []float64
 	negAware bool
 	parser   *parser.Parser
@@ -63,50 +64,59 @@ func NewVectorizer(opts ...VectorizerOption) *Vectorizer {
 // 'bug' and 'not' are related to verb 'contain', we regard 'bug' as being
 // related to 'not', and thus remove the word 'bug' related features").
 func (v *Vectorizer) tokensOf(text string) []string {
-	return v.tokensOfInto(nil, nil, text)
+	words, _ := v.tokensOfInto(nil, nil, text)
+	return words
 }
 
+// Per-token marks of the negation filter.
+const (
+	markDrop    = 1 << iota // token is left out of the stream
+	markNegated             // a neg dependency hangs off this head
+	markErrArg              // an error-word object or subject hangs off this head
+)
+
 // tokensOfInto is tokensOf appending into caller-owned scratch: a reusable
-// word slice and negation drop set (Transform pools both so classification
-// does not reallocate them per review).
-func (v *Vectorizer) tokensOfInto(words []string, drop map[int]bool, text string) []string {
+// word slice and per-token mark buffer, both returned grown as needed
+// (Transform pools them so classification does not reallocate them per
+// review).
+func (v *Vectorizer) tokensOfInto(words []string, marks []uint8, text string) ([]string, []uint8) {
 	for _, sentence := range textproc.SplitSentences(text) {
 		if !v.negAware {
 			words = append(words, textproc.Words(sentence)...)
 			continue
 		}
 		p := v.parser.ParseSentence(sentence)
+		marks = append(marks[:0], make([]uint8, len(p.Tokens))...)
 		// The whole negated error mention is dropped — the error word AND
 		// the negation tied to it — so that neither "bug" nor the "no"/"not"
-		// that cancels it feeds the classifier.
-		if drop == nil {
-			drop = make(map[int]bool)
-		} else {
-			clear(drop)
+		// that cancels it feeds the classifier. Error words that are objects
+		// (or passive subjects) of a negated verb do not signal a real
+		// error: mark each head's negations and error arguments in one pass,
+		// then drop both sides wherever a head has both.
+		for _, d := range p.Deps {
+			switch {
+			case d.Rel == parser.RelNeg:
+				marks[d.Head] |= markNegated
+			case isErrArg(p, d):
+				marks[d.Head] |= markErrArg
+			}
 		}
-		for _, nd := range p.DepsWithRel(parser.RelNeg) {
-			// Error words that are objects (or passive subjects) of a
-			// negated verb do not signal a real error.
-			for _, d := range p.Deps {
-				if d.Head != nd.Head {
-					continue
-				}
-				switch d.Rel {
-				case parser.RelDObj, parser.RelNSubjPass, parser.RelNSubj:
-					if phrase.IsErrorWord(p.Tokens[d.Dep].Lower) {
-						drop[d.Dep] = true
-						drop[nd.Dep] = true
-					}
-				}
+		for _, d := range p.Deps {
+			if d.Rel == parser.RelNeg && marks[d.Head]&markErrArg != 0 ||
+				marks[d.Head]&markNegated != 0 && isErrArg(p, d) {
+				marks[d.Dep] |= markDrop
 			}
 		}
 		// Determiner negation: "no bugs", "zero errors".
-		for _, d := range p.DepsWithRel(parser.RelDet) {
+		for _, d := range p.Deps {
+			if d.Rel != parser.RelDet {
+				continue
+			}
 			det := p.Tokens[d.Dep].Lower
 			if (det == "no" || det == "zero" || det == "none") &&
 				phrase.IsErrorWord(p.Tokens[d.Head].Lower) {
-				drop[d.Head] = true
-				drop[d.Dep] = true
+				marks[d.Head] |= markDrop
+				marks[d.Dep] |= markDrop
 			}
 		}
 		// Token-level fallback for clauses the chunker does not cover: an
@@ -118,13 +128,13 @@ func (v *Vectorizer) tokensOfInto(words []string, drop map[int]bool, text string
 			for j := i - 1; j >= 0 && j >= i-3; j-- {
 				switch p.Tokens[j].Lower {
 				case "no", "zero", "without", "never", "not":
-					drop[i] = true
-					drop[j] = true
+					marks[i] |= markDrop
+					marks[j] |= markDrop
 				}
 			}
 		}
 		for i, t := range p.Tokens {
-			if drop[i] {
+			if marks[i]&markDrop != 0 {
 				continue
 			}
 			if t.Kind == textproc.Word || t.Kind == textproc.Number {
@@ -132,7 +142,17 @@ func (v *Vectorizer) tokensOfInto(words []string, drop map[int]bool, text string
 			}
 		}
 	}
-	return words
+	return words, marks
+}
+
+// isErrArg reports whether d attaches an error word to its head as object,
+// subject or passive subject.
+func isErrArg(p *parser.Parse, d parser.Dependency) bool {
+	switch d.Rel {
+	case parser.RelDObj, parser.RelNSubjPass, parser.RelNSubj:
+		return phrase.IsErrorWord(p.Tokens[d.Dep].Lower)
+	}
+	return false
 }
 
 // featuresOf lists the raw feature strings of a token stream: unigrams plus
@@ -171,6 +191,7 @@ func (v *Vectorizer) Fit(docs []Document) {
 		}
 	}
 	sort.Strings(keys)
+	v.names = keys
 	v.idf = make([]float64, len(keys))
 	n := float64(len(docs))
 	for i, f := range keys {
@@ -185,12 +206,10 @@ func (v *Vectorizer) VocabSize() int { return len(v.vocab) }
 // FeatureName returns the raw feature string (word or n-gram) behind a
 // feature index, for introspection of trained models.
 func (v *Vectorizer) FeatureName(idx int) (string, bool) {
-	for name, i := range v.vocab {
-		if i == idx {
-			return name, true
-		}
+	if idx < 0 || idx >= len(v.names) {
+		return "", false
 	}
-	return "", false
+	return v.names[idx], true
 }
 
 // TopFeatureNames resolves the k highest-importance features of a trained
@@ -210,25 +229,21 @@ func (v *Vectorizer) TopFeatureNames(bt *BoostedTrees, k int) []string {
 	if k > len(idxs) {
 		k = len(idxs)
 	}
-	// Invert the vocabulary once instead of per lookup.
-	inv := make(map[int]string, len(v.vocab))
-	for name, i := range v.vocab {
-		inv[i] = name
-	}
 	out := make([]string, 0, k)
 	for _, f := range idxs[:k] {
-		out = append(out, inv[f])
+		name, _ := v.FeatureName(f)
+		out = append(out, name)
 	}
 	return out
 }
 
 // transformScratch recycles the per-call working state of Transform: the
-// token slice, the negation drop set, the n-gram key buffer, and the counts
+// token slice, the negation marks, the n-gram key buffer, and the counts
 // map. One Vectorizer is shared across pool workers, so the scratch lives in
 // a pool rather than on the struct.
 type transformScratch struct {
 	words  []string
-	drop   map[int]bool
+	marks  []uint8
 	key    []byte
 	counts map[int]int
 }
@@ -236,7 +251,7 @@ type transformScratch struct {
 var transformScratchPool = sync.Pool{
 	New: func() any {
 		return &transformScratch{
-			drop:   make(map[int]bool, 8),
+			marks:  make([]uint8, 0, 64),
 			words:  make([]string, 0, 64),
 			key:    make([]byte, 0, 64),
 			counts: make(map[int]int, 64),
@@ -245,7 +260,6 @@ var transformScratchPool = sync.Pool{
 }
 
 func (sc *transformScratch) release() {
-	clear(sc.drop)
 	clear(sc.counts)
 	sc.words = sc.words[:0]
 	sc.key = sc.key[:0]
@@ -259,8 +273,8 @@ func (sc *transformScratch) release() {
 // probe — feature counting allocates only the returned vector.
 func (v *Vectorizer) Transform(text string) FeatureVector {
 	sc := transformScratchPool.Get().(*transformScratch)
-	words := v.tokensOfInto(sc.words[:0], sc.drop, text)
-	sc.words = words
+	words, marks := v.tokensOfInto(sc.words[:0], sc.marks, text)
+	sc.words, sc.marks = words, marks
 	if len(words) == 0 {
 		sc.release()
 		return FeatureVector{}
