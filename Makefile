@@ -5,7 +5,7 @@ GO      ?= go
 BENCHDIR ?= bench
 TOL     ?= 0.02
 
-.PHONY: ci ci-fast fmt vet build test race benchgate bench bench-all obs-smoke serve-smoke fleetobs-smoke delta-smoke fuzz-smoke snapshot profile update-baselines clean
+.PHONY: ci ci-fast fmt vet build test race perfbench-check benchgate bench bench-all obs-smoke serve-smoke fleetobs-smoke delta-smoke fuzz-smoke snapshot profile update-baselines clean
 
 ci:
 	./ci.sh
@@ -29,6 +29,14 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/...
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# build and test skip it. Format-check, vet and self-test it against the
+# current tree so an API break it alone sees fails here, not at bench time.
+perfbench-check:
+	@out="$$(gofmt -l perfbench)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 benchgate:
 	$(GO) run ./cmd/benchgate -dir $(BENCHDIR) -tol $(TOL)

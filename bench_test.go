@@ -428,7 +428,7 @@ func BenchmarkPerWorkerWarmup(b *testing.B) {
 
 // BenchmarkParallelLocalizeReview measures single-review latency with the
 // chunked-parallel matcher fanned out across all CPUs (kernel path: the
-// default flattened dot scans with the anchor prescreen).
+// flattened dot scans).
 func BenchmarkParallelLocalizeReview(b *testing.B) {
 	app := k9()
 	sn := core.NewSnapshot()
@@ -542,13 +542,12 @@ func benchScanMatrix(rows int) (*wordvec.Model, *wordvec.Matrix, []wordvec.Vecto
 		mat.Append(v)
 		vecs = append(vecs, v)
 	}
-	mat.Finish()
 	return m, mat, vecs
 }
 
-// BenchmarkMatrixScan compares one query against 1024 candidates three
-// ways: the retired per-struct cosine loop, the flat DotBatch kernel, and
-// the prescreened threshold scan.
+// BenchmarkMatrixScan compares one query against 1024 candidates two ways:
+// the retired per-struct cosine loop and the flat DotBatch kernel the
+// threshold scans run.
 func BenchmarkMatrixScan(b *testing.B) {
 	m, mat, vecs := benchScanMatrix(1024)
 	qv := m.PhraseVector([]string{"send", "text"})
@@ -570,13 +569,5 @@ func BenchmarkMatrixScan(b *testing.B) {
 			wordvec.DotBatch(qv, mat.Data(), out)
 		}
 		sinkFloat = out[0]
-	})
-	b.Run("PrescreenScan", func(b *testing.B) {
-		q := wordvec.PrepareQuery(qv)
-		n := 0
-		for i := 0; i < b.N; i++ {
-			mat.ScanThreshold(&q, threshold, 0, mat.Rows(), func(int, float64) { n++ })
-		}
-		sinkFloat = float64(n)
 	})
 }

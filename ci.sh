@@ -1,6 +1,7 @@
 #!/bin/sh
 # Offline CI gate for ReviewSolver: formatting, vet, build, tests, the
-# shared-snapshot race gate, and the benchgate metric-drift check. No step
+# perfbench module's self-test, the shared-snapshot race gate, and the
+# benchgate metric-drift check. No step
 # touches the network (GOPROXY=off enforces it); any failure exits non-zero.
 set -eu
 cd "$(dirname "$0")"
@@ -29,6 +30,15 @@ go build ./...
 
 step "go test"
 go test ./...
+
+step "perfbench module (gofmt, vet, self-test: the root go test skips this separate module)"
+out="$(gofmt -l perfbench)"
+if [ -n "$out" ]; then
+	echo "gofmt needed on:"
+	echo "$out"
+	exit 1
+fi
+(cd perfbench && go vet ./... && go test ./...)
 
 step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/..."
 go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/...

@@ -5,14 +5,12 @@ import (
 
 	"reviewsolver/internal/core"
 	"reviewsolver/internal/synth"
-	"reviewsolver/internal/wordvec"
 )
 
 // kernelProbes are fixed query phrases scanned against the method-phrase and
-// framework-catalog matrices. Their prescreen prune/evaluate/match counts are
-// pure functions of the embedding model, the lexicon anchors, and the seeded
-// corpus, so any change to the kernel, the prescreen basis, or the flattened
-// matrix layout shifts at least one count.
+// framework-catalog matrices. Their evaluate/match counts are pure functions
+// of the embedding model and the seeded corpus, so any change to the kernel
+// or the flattened matrix layout shifts at least one count.
 var kernelProbes = []string{
 	"fetch mail",
 	"send message",
@@ -36,16 +34,13 @@ func kernelSnapshot(seed int64) snapshotFile {
 	m := map[string]float64{
 		"shape|method_rows":  float64(info.MethodRows()),
 		"shape|catalog_rows": float64(s.CatalogRows()),
-		"shape|basis_size":   float64(wordvec.BasisSize()),
 	}
 	for _, phrase := range kernelProbes {
 		key := strings.ReplaceAll(phrase, " ", "_")
-		pr, ev, ma := s.KernelScanStats(info, phrase)
-		m["method|"+key+"|pruned"] = float64(pr)
+		_, ev, ma := s.KernelScanStats(info, phrase)
 		m["method|"+key+"|evaluated"] = float64(ev)
 		m["method|"+key+"|matched"] = float64(ma)
-		pr, ev, ma = s.CatalogScanStats(phrase)
-		m["catalog|"+key+"|pruned"] = float64(pr)
+		_, ev, ma = s.CatalogScanStats(phrase)
 		m["catalog|"+key+"|evaluated"] = float64(ev)
 		m["catalog|"+key+"|matched"] = float64(ma)
 	}

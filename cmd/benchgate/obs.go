@@ -13,7 +13,7 @@ import (
 // Wall-clock-dependent keys (latency histogram buckets and sums) are
 // filtered out — only their observation counts stay — so every gated metric
 // is an exact function of the seed: review/stage/mapping counters, kernel
-// prescreen totals, match-similarity histogram buckets, and the drained
+// scan totals, match-similarity histogram buckets, and the drained
 // pool gauges.
 func obsSnapshot(seed int64) snapshotFile {
 	data := synth.GenerateSample(seed)

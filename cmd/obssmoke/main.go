@@ -7,7 +7,7 @@
 //     different worker count must reproduce the identical JSON (modulo the
 //     scheduling-dependent pool occupancy block, which is stripped first);
 //   - stage spans ran and the span log emitted events;
-//   - the registry is coherent (reviews counted, prescreen counters moved,
+//   - the registry is coherent (reviews counted, scan counters moved,
 //     pool gauges drained back to zero);
 //   - the debug server serves /debug/vars (expvar), /metrics, and /healthz.
 //
@@ -109,7 +109,7 @@ func run() error {
 	}
 	for _, key := range []string{
 		"stage_review_ns|count", "stage_localize_ns|count",
-		"prescreen_pruned_total", "prescreen_evaluated_total",
+		"prescreen_evaluated_total",
 		"match_similarity|count",
 		// Front-end engine: the sentence cache must be consulted (and hit —
 		// the seeded corpus repeats sentences) and the drained pool must have

@@ -15,8 +15,8 @@ import (
 // This file implements incremental static extraction: given the finished
 // extraction of the previous release and a structural diff against it,
 // ExtractStaticDelta rebuilds only the artifacts the diff invalidates and
-// reuses everything else — phrase embeddings, GUI recoveries, inventory
-// entries, and sketch rows.
+// reuses everything else — phrase embeddings, GUI recoveries and inventory
+// entries.
 //
 // The invariant, property-tested in delta_test.go, is that a delta-built
 // StaticInfo localizes byte-identically to a from-scratch ExtractStatic of
@@ -29,8 +29,7 @@ import (
 //
 //   - method phrases: derived from (method name, class name) and, for
 //     summaries, the statement body — all covered by the class content
-//     fingerprint. Reused rows keep their embedding bits; the matrix sketch
-//     rows are copied via FinishReuse.
+//     fingerprint. Reused rows keep their embedding bits.
 //   - GUI recoveries: an activity's recovery reads its manifest declaration,
 //     its layout tree, the string-resource table, and its own class's
 //     methods. It is reused only when all four are untouched.
@@ -56,7 +55,8 @@ type DeltaStats struct {
 	// Diff summary.
 	ClassesAdded, ClassesRemoved, ClassesChanged int
 
-	// Row accounting for the two scan matrices.
+	// Row accounting for the two scan matrices: a reused row's embedding
+	// was inherited from the base extraction, a fresh row's was computed.
 	MethodRowsReused, MethodRowsFresh       int
 	InvisibleRowsReused, InvisibleRowsFresh int
 
@@ -64,12 +64,13 @@ type DeltaStats struct {
 	GUIsReused, GUIsFresh int
 }
 
-// RowsReused returns the total sketch rows copied from the base extraction.
+// RowsReused returns the total matrix rows whose embedding was reused from
+// the base extraction.
 func (st *DeltaStats) RowsReused() int {
 	return st.MethodRowsReused + st.InvisibleRowsReused
 }
 
-// RowsFresh returns the total sketch rows recomputed.
+// RowsFresh returns the total matrix rows embedded afresh.
 func (st *DeltaStats) RowsFresh() int {
 	return st.MethodRowsFresh + st.InvisibleRowsFresh
 }
@@ -125,13 +126,13 @@ func (s *Solver) extractStaticDelta(prev *StaticInfo, r *apk.Release, stats *Del
 	}
 
 	recomputeKeys := sortedKeys(recompute)
-	guiPrev := s.deltaGUIs(info, prev, r, g, d, recompute, stats)
+	s.deltaGUIs(info, prev, r, g, d, recompute, stats)
 	info.deltaAPIs(s, prev, g, d, recompute)
 	info.deltaURIs(s, prev, g, recompute, recomputeKeys)
 	info.deltaIntents(s, prev, g, recompute, recomputeKeys)
 	info.deltaMessages(prev, g, recompute, recomputeKeys)
-	methodRowMap := info.deltaMethodPhrases(s, prev, g, recompute, stats)
-	info.buildScanStateDelta(s, prev, methodRowMap, guiPrev, stats)
+	info.deltaMethodPhrases(s, prev, g, recompute, stats)
+	info.buildScanStateDelta(s, prev)
 	return info
 }
 
@@ -192,10 +193,9 @@ func mergeMethodOrder(prev *StaticInfo, g *apg.Graph, r *apk.Release, d *apk.Rel
 }
 
 // deltaGUIs rebuilds info.GUIs and info.invisibleVecs, reusing the previous
-// recovery of every activity whose declaration, layout, string resources,
-// and backing class are all untouched. It returns, per final (sorted) GUI
-// index, the previous GUI index the entry was reused from, or -1.
-func (s *Solver) deltaGUIs(info *StaticInfo, prev *StaticInfo, r *apk.Release, g *apg.Graph, d *apk.ReleaseDelta, recompute map[string]struct{}, stats *DeltaStats) []int32 {
+// recovery (and widget-id embeddings) of every activity whose declaration,
+// layout, string resources, and backing class are all untouched.
+func (s *Solver) deltaGUIs(info *StaticInfo, prev *StaticInfo, r *apk.Release, g *apg.Graph, d *apk.ReleaseDelta, recompute map[string]struct{}, stats *DeltaStats) {
 	prevByName := make(map[string]int32, len(prev.GUIs))
 	for i := range prev.GUIs {
 		if _, dup := prevByName[prev.GUIs[i].Activity]; !dup {
@@ -226,27 +226,30 @@ func (s *Solver) deltaGUIs(info *StaticInfo, prev *StaticInfo, r *apk.Release, g
 
 	// Recover the reuse mapping after the sort (reused names are unique:
 	// duplicate declarations are conservatively diffed as changed) and embed
-	// the invisible labels of fresh recoveries only.
-	guiPrev := make([]int32, len(guis))
+	// the invisible labels of fresh recoveries only. Each labeled widget is
+	// one invisible-matrix row, counted as reused or fresh.
 	info.invisibleVecs = make([][]wordvec.Vector, len(guis))
 	for gi := range guis {
-		if pgi, ok := reused[guis[gi].Activity]; ok {
-			guiPrev[gi] = pgi
+		a := &guis[gi]
+		if pgi, ok := reused[a.Activity]; ok {
 			info.invisibleVecs[gi] = prev.invisibleVecs[pgi]
+			for _, idWords := range a.InvisibleWords {
+				if len(idWords) > 0 {
+					stats.InvisibleRowsReused++
+				}
+			}
 			continue
 		}
-		guiPrev[gi] = -1
-		a := &guis[gi]
 		vecs := make([]wordvec.Vector, len(a.InvisibleWords))
 		for wi, idWords := range a.InvisibleWords {
 			if len(idWords) == 0 {
 				continue
 			}
 			vecs[wi] = s.vec.PhraseVector(idWords)
+			stats.InvisibleRowsFresh++
 		}
 		info.invisibleVecs[gi] = vecs
 	}
-	return guiPrev
 }
 
 // deltaAPIs patches the framework-API inventory. The rescan set is the
@@ -577,19 +580,16 @@ func (info *StaticInfo) deltaMessages(prev *StaticInfo, g *apg.Graph, recompute 
 
 // deltaMethodPhrases rebuilds the method-phrase list in the graph's sorted
 // method order, copying the previous phrases (words, embedding, summary
-// flag) of every method in an untouched class and recomputing the rest. The
-// returned rowMap gives, per new matrix row, the previous row it reuses
-// (-1 for fresh rows).
+// flag) of every method in an untouched class and recomputing the rest.
 //
 // prev.MethodPhrases was emitted by walking its own graph's Methods() — the
 // same qualified-name order g.Methods() follows, with a method's one or two
 // rows adjacent — so a single merge cursor finds each method's previous
 // rows without indexing all of them: entries ordered before the current
 // method belong to removed (or renamed-away) methods and are skipped.
-func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.Graph, recompute map[string]struct{}, stats *DeltaStats) []int32 {
+func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.Graph, recompute map[string]struct{}, stats *DeltaStats) {
 	pms := prev.MethodPhrases
 	pi := 0
-	rowMap := make([]int32, 0, len(pms))
 	info.MethodPhrases = make([]MethodPhrase, 0, len(pms)+8)
 
 	// Reused entries are copied in maximal contiguous prev runs (one
@@ -605,7 +605,6 @@ func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.G
 		info.MethodPhrases = append(info.MethodPhrases, pms[runStart:pi]...)
 		for i, nm := range runMethods {
 			info.MethodPhrases[off+i].Method = nm
-			rowMap = append(rowMap, int32(runStart+i))
 		}
 		stats.MethodRowsReused += len(runMethods)
 		runStart = -1
@@ -638,7 +637,6 @@ func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.G
 				Words:  phrase,
 				Vec:    s.vec.PhraseVector(phrase),
 			})
-			rowMap = append(rowMap, -1)
 			stats.MethodRowsFresh++
 		}
 		if s.summarizer != nil && (len(phrase) == 0 || s.summarizeAll) {
@@ -649,67 +647,19 @@ func (info *StaticInfo) deltaMethodPhrases(s *Solver, prev *StaticInfo, g *apg.G
 					Vec:         s.vec.PhraseVector(words),
 					FromSummary: true,
 				})
-				rowMap = append(rowMap, -1)
 				stats.MethodRowsFresh++
 			}
 		}
 	}
 	flush()
-	return rowMap
 }
 
-// buildScanStateDelta is buildScanState with row-level reuse: matrix data
-// rows are appended as usual (the embeddings themselves were already reused
-// value-wise above), but the sketch (projection + residual) of every mapped
-// row is copied from the base matrices instead of re-orthogonalized.
-func (info *StaticInfo) buildScanStateDelta(s *Solver, prev *StaticInfo, methodRowMap []int32, guiPrev []int32, stats *DeltaStats) {
-	info.methodMatrix = assembleDeltaMatrix(prev.methodMatrix, methodRowMap, func(r int) *wordvec.Vector {
-		return &info.MethodPhrases[r].Vec
-	})
-	finishDelta(info.methodMatrix, prev.methodMatrix, methodRowMap)
-
-	// prev.invisibleRows is sorted by (GUI, Widget), so a previous GUI's rows
-	// are contiguous; recording each GUI's first row replaces a full
-	// (GUI, Widget)→row index. A reused GUI is value-identical to its
-	// previous recovery, so its k-th labeled widget sits exactly k rows past
-	// that start — the ref equality check below pins that invariant.
-	prevRowStart := make([]int32, len(prev.GUIs))
-	for i := range prevRowStart {
-		prevRowStart[i] = -1
-	}
-	for i := len(prev.invisibleRows) - 1; i >= 0; i-- {
-		prevRowStart[prev.invisibleRows[i].GUI] = int32(i)
-	}
-	info.invisibleRows = make([]invisibleRef, 0, len(prev.invisibleRows)+8)
-	invRowMap := make([]int32, 0, len(prev.invisibleRows)+8)
-	for gi := range info.GUIs {
-		labeled := int32(0) // labeled widgets seen so far in this GUI
-		for wi, idWords := range info.GUIs[gi].InvisibleWords {
-			if len(idWords) == 0 {
-				continue
-			}
-			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
-			mapped := int32(-1)
-			if pgi := guiPrev[gi]; pgi >= 0 && prevRowStart[pgi] >= 0 {
-				if pr := prevRowStart[pgi] + labeled; int(pr) < len(prev.invisibleRows) &&
-					prev.invisibleRows[pr] == (invisibleRef{GUI: pgi, Widget: int32(wi)}) {
-					mapped = pr
-				}
-			}
-			labeled++
-			invRowMap = append(invRowMap, mapped)
-			if mapped >= 0 {
-				stats.InvisibleRowsReused++
-			} else {
-				stats.InvisibleRowsFresh++
-			}
-		}
-	}
-	info.invisibleMatrix = assembleDeltaMatrix(prev.invisibleMatrix, invRowMap, func(r int) *wordvec.Vector {
-		ref := info.invisibleRows[r]
-		return &info.invisibleVecs[ref.GUI][ref.Widget]
-	})
-	finishDelta(info.invisibleMatrix, prev.invisibleMatrix, invRowMap)
+// buildScanStateDelta is buildScanState with the static-text caches
+// inherited from prev wherever their key is unchanged. The scan matrices are
+// built exactly as buildScanState builds them, from the (already reused)
+// embeddings.
+func (info *StaticInfo) buildScanStateDelta(s *Solver, prev *StaticInfo) {
+	info.buildMatrices()
 
 	prevURIVec := make(map[string]wordvec.Vector, len(prev.URIs))
 	for i := range prev.URIs {
@@ -766,61 +716,6 @@ func (info *StaticInfo) buildScanStateDelta(s *Solver, prev *StaticInfo, methodR
 		} else {
 			info.normMessages[i] = normalizeMessage(info.Messages[i].Text)
 		}
-	}
-}
-
-// assembleDeltaMatrix builds a delta matrix's data block directly: maximal
-// contiguous runs of reused rows are copied out of the base in single
-// memmoves, fresh rows from their vectors. vec(r) must return the row's
-// vector for any r (reused rows carry the same values the base does, so the
-// defensive fallback below is value-identical). The result is unfinished —
-// finishDelta supplies the sketch.
-func assembleDeltaMatrix(base *wordvec.Matrix, rowMap []int32, vec func(r int) *wordvec.Vector) *wordvec.Matrix {
-	const d = wordvec.Dim
-	data := make([]float64, len(rowMap)*d)
-	var baseData []float64
-	if base != nil {
-		baseData = base.Data()
-	}
-	for r := 0; r < len(rowMap); {
-		sr := rowMap[r]
-		if sr < 0 {
-			copy(data[r*d:(r+1)*d], vec(r)[:])
-			r++
-			continue
-		}
-		n := 1
-		for r+n < len(rowMap) && rowMap[r+n] == sr+int32(n) {
-			n++
-		}
-		if end := (int(sr) + n) * d; end <= len(baseData) {
-			copy(data[r*d:(r+n)*d], baseData[int(sr)*d:end])
-		} else {
-			// Defensive: an out-of-range map still yields correct data via
-			// the vectors; FinishReuse will reject the map downstream.
-			for i := 0; i < n; i++ {
-				copy(data[(r+i)*d:(r+i+1)*d], vec(r + i)[:])
-			}
-		}
-		r += n
-	}
-	m, err := wordvec.MatrixFromParts(data, nil, nil)
-	if err == nil {
-		return m
-	}
-	// Unreachable (len(data) is rows×Dim by construction); rebuild row-wise.
-	fb := wordvec.NewMatrix(len(rowMap))
-	for r := range rowMap {
-		fb.Append(*vec(r))
-	}
-	return fb
-}
-
-// finishDelta finishes a matrix reusing the base matrix's sketch rows.
-func finishDelta(m, base *wordvec.Matrix, rowMap []int32) {
-	if err := m.FinishReuse(base, rowMap); err != nil {
-		// Defensive: an inconsistent row map falls back to the plain finish.
-		m.Finish()
 	}
 }
 

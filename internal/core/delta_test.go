@@ -79,7 +79,7 @@ func TestDeltaStatsReportReuse(t *testing.T) {
 	for i := 1; i < len(stats); i++ {
 		st := stats[i]
 		if st.RowsReused() == 0 {
-			t.Fatalf("release %d: no sketch rows reused", i)
+			t.Fatalf("release %d: no matrix rows reused", i)
 		}
 		if st.RowsReused() < st.RowsFresh() {
 			t.Fatalf("release %d: reused %d rows < fresh %d — delta degenerated",

@@ -161,16 +161,14 @@ type sentenceEntry struct {
 }
 
 // phrasePrep is the cached embedding preparation of one verb phrase: the
-// derived word forms and every vector/query the localizers need. PrepareQuery
-// depends only on the global anchor basis, not on per-model state, so the
-// queries are cacheable alongside the vectors.
+// derived word forms and every query vector the localizers need.
 type phrasePrep struct {
 	text     string
 	words    []string
-	q        wordvec.Query
+	q        wordvec.Vector
 	hasObj   bool
 	objVec   wordvec.Vector
-	contentQ wordvec.Query
+	contentQ wordvec.Vector
 }
 
 // analysisScratch holds the per-review dedup sets AnalyzeReview reuses
@@ -281,13 +279,13 @@ func (fe *frontend) prep(s *Solver, key string, vp phrase.VerbPhrase) *phrasePre
 	p := &phrasePrep{
 		text:  key,
 		words: words,
-		q:     wordvec.PrepareQuery(fe.phraseVector(s, words)),
+		q:     fe.phraseVector(s, words),
 	}
 	if len(vp.Object) > 0 {
 		p.hasObj = true
 		p.objVec = fe.phraseVector(s, vp.Object)
 	}
-	p.contentQ = wordvec.PrepareQuery(fe.phraseVector(s, contentOnly(words)))
+	p.contentQ = fe.phraseVector(s, contentOnly(words))
 	p, created := fe.preps.put(key, p)
 	if created {
 		s.rec.Counter(metricPhraseCacheMisses).Add(1)

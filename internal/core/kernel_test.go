@@ -12,37 +12,19 @@ import (
 
 // referenceSolver returns the reference the TestKernel*MatchesLegacy tests
 // compare the kernel against: a sequential solver whose catalog and
-// per-release StaticInfo are clones with sketch-free matrices, so every
-// scan is a brute-force Dot over all rows (no anchor prescreen). Before
-// cloning, every vector the kernel reads from a cache — matrix rows,
-// permission-noun, URI-noun, intent-noun and widget-id vectors — is checked
-// against a fresh PhraseVector of its words, so the reference cannot
-// inherit a stale cache from the code under test.
+// per-release StaticInfo were extracted from scratch, with every vector the
+// kernel reads from a cache — matrix rows, permission-noun, URI-noun,
+// intent-noun and widget-id vectors — checked against a fresh PhraseVector
+// of its words, so the reference cannot inherit a stale cache from the code
+// under test. Every scan is a brute-force Dot over all rows.
 func referenceSolver(t *testing.T, app *apk.App) *Solver {
 	t.Helper()
 	s := New()
-	table := *s.catalogVecs()
-	checkCatalogVectors(t, s, &table)
-	table.matrix = unsketched(t, table.matrix)
-	s.catalogVecCache = &table
+	checkCatalogVectors(t, s, s.catalogVecs())
 	for _, r := range app.Releases {
-		info := *s.StaticFor(r)
-		checkStaticVectors(t, s, &info)
-		info.methodMatrix = unsketched(t, info.methodMatrix)
-		info.invisibleMatrix = unsketched(t, info.invisibleMatrix)
-		s.staticCache[r] = &info
+		checkStaticVectors(t, s, s.StaticFor(r))
 	}
 	return s
-}
-
-// unsketched clones a matrix's rows without its prescreen sketch.
-func unsketched(t *testing.T, m *wordvec.Matrix) *wordvec.Matrix {
-	t.Helper()
-	c, err := wordvec.MatrixFromParts(m.Data(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // requireRow fails unless matrix row r holds exactly v.
@@ -131,8 +113,8 @@ func checkStaticVectors(t *testing.T, s *Solver, info *StaticInfo) {
 
 // TestKernelRankingMatchesLegacy is the property test of the kernel layer:
 // across seeded synthetic corpora, the full-pipeline output of the default
-// matrix-kernel matcher (flattened dot scans + anchor prescreen) must be
-// byte-identical to the brute-force reference.
+// matrix-kernel matcher (flattened dot scans) must be byte-identical to the
+// brute-force reference.
 func TestKernelRankingMatchesLegacy(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21} {
 		data := synth.GenerateSample(seed)
@@ -215,8 +197,8 @@ func TestKernelPerContextMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestReferenceScansEveryRow pins what makes the reference a reference:
-// its matrices carry no sketch, so a scan evaluates every row.
+// TestReferenceScansEveryRow pins what makes the reference a reference: a
+// scan evaluates every row and prunes none.
 func TestReferenceScansEveryRow(t *testing.T) {
 	data := synth.GenerateSample(3)
 	ref := referenceSolver(t, data.App)
@@ -229,7 +211,7 @@ func TestReferenceScansEveryRow(t *testing.T) {
 	}
 }
 
-// TestScanStatsDeterministic guards the prescreen bookkeeping benchgate
+// TestScanStatsDeterministic guards the scan bookkeeping benchgate
 // snapshots: stats are stable across repeated scans of the same corpus.
 func TestScanStatsDeterministic(t *testing.T) {
 	data := synth.GenerateSample(3)

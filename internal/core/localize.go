@@ -115,8 +115,7 @@ func dedupMappings(ms []Mapping) []Mapping {
 // phrases derived from method names and Code2vec summaries. The candidate
 // loop is chunked across workers (WithParallelism); chunk results merge in
 // candidate order, so output order matches the sequential pass exactly. The
-// matcher scans the flattened method-phrase matrix with the dot-only kernel
-// and anchor prescreen.
+// matcher scans the flattened method-phrase matrix with the dot-only kernel.
 func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	threshold := s.vec.Threshold()
@@ -258,7 +257,7 @@ func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Revie
 // matchInvisible compares a review phrase against the expanded widget-id
 // phrases of each activity by scanning the flattened widget-id matrix (rows
 // in nested GUI×widget order, so output follows the activities). The
-// content-word prescreen query comes precomputed on the cached phrase prep.
+// content-word query vector comes precomputed on the cached phrase prep.
 func (s *Solver) matchInvisible(prep *phrasePrep, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	phraseText := prep.text
@@ -655,8 +654,7 @@ var collectionVerbs = map[string]struct{}{
 // phrases, verb-phrase objects against URI nouns and intent nouns. The
 // whole-catalog API scan — the dominant Table 15 cost — is chunked across
 // workers with a deterministic candidate-order merge. The matcher scans the
-// flattened catalog matrix with the dot-only kernel and anchor prescreen,
-// reading the permission-noun and URI/intent-noun vectors cached at
+// flattened catalog matrix with the dot-only kernel, reading the permission-noun and URI/intent-noun vectors cached at
 // construction/extraction time.
 func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
@@ -686,7 +684,7 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 						int(table.rowStart[ei]), int(table.rowStart[ei+1]))
 					ck.scan.Merge(esc)
 					if matched {
-						sim = threshold // AnyAtLeast stops at the hit; record the floor
+						sim = threshold // AnyAtLeastCount stops at the hit; record the floor
 					}
 					// Permission-protected personal data: collection verb +
 					// object similar to the permission nouns (cached per

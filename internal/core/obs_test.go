@@ -86,7 +86,7 @@ func TestTraceByteDeterminism(t *testing.T) {
 
 // TestTraceContent spot-checks the acceptance criterion on a review known
 // to localize: the trace must name the matched phrase, the information
-// source, the similarity, and the prescreen counts, and the ranked entries
+// source, the similarity, and the scan counts, and the ranked entries
 // must point at their supporting matches.
 func TestTraceContent(t *testing.T) {
 	data := synth.GenerateSample(1)
@@ -113,7 +113,7 @@ func TestTraceContent(t *testing.T) {
 		}
 	}
 	if len(tr.Scans) == 0 {
-		t.Fatal("trace has no prescreen scan records")
+		t.Fatal("trace has no scan records")
 	}
 	if len(tr.Ranked) != len(res.Ranked) {
 		t.Fatalf("trace has %d ranked entries, result has %d", len(tr.Ranked), len(res.Ranked))
@@ -195,8 +195,8 @@ func TestPoolLocalizeTraced(t *testing.T) {
 	if got := snap["stage_review_ns|count"]; got != float64(len(inputs)) {
 		t.Errorf("stage_review_ns|count = %g, want %d", got, len(inputs))
 	}
-	if snap[metricPrescreenPruned]+snap[metricPrescreenEvaluated] <= 0 {
-		t.Error("prescreen counters did not move")
+	if snap[metricPrescreenEvaluated] <= 0 {
+		t.Error("scan counters did not move")
 	}
 }
 

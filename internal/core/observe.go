@@ -40,7 +40,8 @@ const (
 	metricMappings         = "mappings_total"
 	metricMatchSimilarity  = "match_similarity"
 
-	metricPrescreenPruned    = "prescreen_pruned_total"
+	// The scan counters keep their historical prescreen_ names so gates and
+	// dashboards do not churn; every scanned row now counts as evaluated.
 	metricPrescreenEvaluated = "prescreen_evaluated_total"
 	metricPrescreenMatched   = "prescreen_matched_total"
 
@@ -85,12 +86,11 @@ func (s *Solver) simHist() *obs.Histogram {
 // goroutines — race-safe by construction under Pool and WithParallelism.
 func (s *Solver) noteScan(tr *obs.ReviewTrace, stage, matrix, phrase string, rows int, sc wordvec.ScanCount) {
 	if s.rec != nil {
-		s.rec.Counter(metricPrescreenPruned).Add(int64(sc.Pruned))
 		s.rec.Counter(metricPrescreenEvaluated).Add(int64(sc.Evaluated))
 		s.rec.Counter(metricPrescreenMatched).Add(int64(sc.Matched))
 	}
 	tr.AddScan(obs.ScanTrace{
 		Stage: stage, Matrix: matrix, Phrase: phrase,
-		Rows: rows, Pruned: sc.Pruned, Evaluated: sc.Evaluated, Matched: sc.Matched,
+		Rows: rows, Evaluated: sc.Evaluated, Matched: sc.Matched,
 	})
 }

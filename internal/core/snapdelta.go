@@ -8,7 +8,8 @@
 //	            release index each new release patches (or -1 for new ones)
 //	REL_DELTA   per patched release: its two row maps, each entry naming the
 //	            bitwise-identical base matrix row to reuse (or -1 for fresh)
-//	REL_M*/I*   the float blocks then carry ONLY the fresh rows
+//	REL_MDATA/  the float blocks then carry ONLY the fresh rows
+//	REL_IDATA
 //
 // META, the app IR, and the inventory sections (REL_META / REL_VECS) are
 // written in full — they are small next to the float blocks — while the
@@ -18,12 +19,10 @@
 // image, so a delta degrades gracefully to self-contained per release.
 //
 // Row identity is by VALUE, not build provenance: EncodeSnapshotDelta hashes
-// every base row and reuses any bitwise-equal new row. Projections and
-// residuals are pure functions of the row and the build-constant anchor
-// basis, so a data-equal row implies equal sketch columns — which is what
-// makes the encoder independent of HOW the new snapshot was built (full
-// extraction or ApplyDelta produce the same bytes, keeping the format
-// deterministic for CI's cmp gate).
+// every base row and reuses any bitwise-equal new row, which makes the
+// encoder independent of HOW the new snapshot was built (full extraction or
+// ApplyDelta produce the same bytes, keeping the format deterministic for
+// CI's cmp gate).
 //
 // Loading copies reused rows out of the base into fresh heap arrays: the
 // delta-loaded snapshot holds no references into the base IMAGE's float
@@ -128,7 +127,7 @@ func EncodeSnapshotDelta(sn *Snapshot, app *apk.App, baseImg []byte) ([]byte, er
 	meta.Str(app.Package)
 	meta.U32(uint32(len(app.Releases)))
 	meta.U32(uint32(wordvec.Dim))
-	meta.U32(uint32(wordvec.BasisSize()))
+	meta.U32(0) // reserved: the retired prescreen basis size, ignored on load
 	meta.F64(wordvec.DefaultThreshold)
 	meta.U32(uint32(len(s.catalog.APIs())))
 	meta.U32(cachedCatalogFingerprint(s.catalog))
@@ -217,16 +216,14 @@ func encodeReleaseDelta(w *snapfile.Writer, ri, bi int, info, baseInfo *StaticIn
 	}
 	w.Add(relSection(ri, relDelta), d.Bytes())
 
-	writeFreshRows(w, ri, relMData, relMProj, relMRes, info.methodMatrix, mMap)
-	writeFreshRows(w, ri, relIData, relIProj, relIRes, info.invisibleMatrix, iMap)
+	writeFreshRows(w, ri, relMData, info.methodMatrix, mMap)
+	writeFreshRows(w, ri, relIData, info.invisibleMatrix, iMap)
 	return nil
 }
 
 // valueRowMap maps each row of m to a bitwise-identical row of base, or -1.
-// Identity is by row value, not build provenance: projections and residuals
-// are pure functions of the row and the build-constant anchor basis, so a
-// data-equal row may reuse the base row's entire column set. Duplicate base
-// rows resolve to the first occurrence, keeping the map deterministic.
+// Identity is by row value, not build provenance. Duplicate base rows
+// resolve to the first occurrence, keeping the map deterministic.
 func valueRowMap(m, base *wordvec.Matrix) []int32 {
 	idx := make(map[wordvec.Vector]int32, base.Rows())
 	for r := 0; r < base.Rows(); r++ {
@@ -249,31 +246,22 @@ func valueRowMap(m, base *wordvec.Matrix) []int32 {
 	return out
 }
 
-// writeFreshRows emits a matrix's three float sections restricted to the
-// rows the row map could not source from the base, in row order.
-func writeFreshRows(w *snapfile.Writer, ri, dataID, projID, resID int, m *wordvec.Matrix, rowMap []int32) {
+// writeFreshRows emits a matrix's float section restricted to the rows the
+// row map could not source from the base, in row order.
+func writeFreshRows(w *snapfile.Writer, ri, dataID int, m *wordvec.Matrix, rowMap []int32) {
 	fresh := 0
 	for _, bi := range rowMap {
 		if bi < 0 {
 			fresh++
 		}
 	}
-	k := wordvec.BasisSize()
 	data := make([]float64, 0, fresh*wordvec.Dim)
-	proj := make([]float64, 0, fresh*k)
-	res := make([]float64, 0, fresh)
-	mProj, mRes := m.Sketch()
 	for r, bi := range rowMap {
-		if bi >= 0 {
-			continue
+		if bi < 0 {
+			data = append(data, m.Row(r)...)
 		}
-		data = append(data, m.Row(r)...)
-		proj = append(proj, mProj[r*k:(r+1)*k]...)
-		res = append(res, mRes[r])
 	}
 	w.Add(relSection(ri, dataID), snapfile.Float64Bytes(data))
-	w.Add(relSection(ri, projID), snapfile.Float64Bytes(proj))
-	w.Add(relSection(ri, resID), snapfile.Float64Bytes(res))
 }
 
 // LoadSnapshotDelta reads a delta image and its base image from disk and
@@ -342,7 +330,7 @@ func LoadSnapshotDeltaBytes(data []byte, base *Snapshot, baseApp *apk.App, baseC
 	md.Str() // app package, bound via DELTA_META
 	releaseCount := int(md.U32())
 	dim := md.U32()
-	basis := md.U32()
+	md.U32() // reserved: the retired prescreen basis size, ignored
 	threshold := md.F64()
 	catCount := md.U32()
 	catCRC := md.U32()
@@ -350,9 +338,9 @@ func LoadSnapshotDeltaBytes(data []byte, base *Snapshot, baseApp *apk.App, baseC
 	if err := md.Done(); err != nil {
 		return nil, nil, err
 	}
-	if int(dim) != wordvec.Dim || int(basis) != wordvec.BasisSize() || threshold != wordvec.DefaultThreshold {
-		return nil, nil, fmt.Errorf("%w: dim %d / basis %d / threshold %v, build has %d / %d / %v",
-			ErrSnapshotIncompatible, dim, basis, threshold, wordvec.Dim, wordvec.BasisSize(), wordvec.DefaultThreshold)
+	if int(dim) != wordvec.Dim || threshold != wordvec.DefaultThreshold {
+		return nil, nil, fmt.Errorf("%w: dim %d / threshold %v, build has %d / %v",
+			ErrSnapshotIncompatible, dim, threshold, wordvec.Dim, wordvec.DefaultThreshold)
 	}
 	if int(catCount) != len(s.catalog.APIs()) || catCRC != cachedCatalogFingerprint(s.catalog) {
 		return nil, nil, fmt.Errorf("%w: catalog fingerprint mismatch", ErrSnapshotIncompatible)
@@ -448,10 +436,10 @@ func loadDeltaRelease(r *snapfile.Reader, ri int, release *apk.Release, table *c
 		return nil, 0, err
 	}
 	var bytes int64
-	if info.methodMatrix, err = materializeMatrix(r, ri, relMData, relMProj, relMRes, baseInfo.methodMatrix, mMap, &bytes); err != nil {
+	if info.methodMatrix, err = materializeMatrix(r, ri, relMData, baseInfo.methodMatrix, mMap, &bytes); err != nil {
 		return nil, 0, fmt.Errorf("method matrix: %w", err)
 	}
-	if info.invisibleMatrix, err = materializeMatrix(r, ri, relIData, relIProj, relIRes, baseInfo.invisibleMatrix, iMap, &bytes); err != nil {
+	if info.invisibleMatrix, err = materializeMatrix(r, ri, relIData, baseInfo.invisibleMatrix, iMap, &bytes); err != nil {
 		return nil, 0, fmt.Errorf("invisible matrix: %w", err)
 	}
 	if err := attachReleaseMatrices(info); err != nil {
@@ -470,13 +458,12 @@ func readRowMap(d *snapfile.Dec) []int32 {
 }
 
 // materializeMatrix rebuilds one full scan matrix from base rows plus the
-// image's fresh-row sections, onto fresh heap arrays (counted in heapBytes).
-func materializeMatrix(r *snapfile.Reader, ri, dataID, projID, resID int, baseM *wordvec.Matrix, rowMap []int32, heapBytes *int64) (*wordvec.Matrix, error) {
-	fData, fProj, fRes, err := matrixParts(r, relSection(ri, dataID), relSection(ri, projID), relSection(ri, resID))
+// image's fresh-row section, onto a fresh heap array (counted in heapBytes).
+func materializeMatrix(r *snapfile.Reader, ri, dataID int, baseM *wordvec.Matrix, rowMap []int32, heapBytes *int64) (*wordvec.Matrix, error) {
+	fData, err := floatSection(r, relSection(ri, dataID))
 	if err != nil {
 		return nil, err
 	}
-	k := wordvec.BasisSize()
 	fresh := 0
 	for _, bi := range rowMap {
 		if bi < 0 {
@@ -485,33 +472,20 @@ func materializeMatrix(r *snapfile.Reader, ri, dataID, projID, resID int, baseM 
 			return nil, fmt.Errorf("%w: delta row map references base row %d of %d", snapfile.ErrCorrupt, bi, baseM.Rows())
 		}
 	}
-	if len(fData) != fresh*wordvec.Dim || len(fProj) != fresh*k || len(fRes) != fresh {
-		return nil, fmt.Errorf("%w: fresh blocks hold %d/%d/%d floats for %d fresh rows",
-			snapfile.ErrCorrupt, len(fData), len(fProj), len(fRes), fresh)
+	if len(fData) != fresh*wordvec.Dim {
+		return nil, fmt.Errorf("%w: fresh block holds %d floats for %d fresh rows", snapfile.ErrCorrupt, len(fData), fresh)
 	}
-	rows := len(rowMap)
-	data := make([]float64, rows*wordvec.Dim)
-	proj := make([]float64, rows*k)
-	res := make([]float64, rows)
-	bProj, bRes := baseM.Sketch()
+	const d = wordvec.Dim
+	data := make([]float64, len(rowMap)*d)
 	fi := 0
 	for ri, bi := range rowMap {
 		if bi >= 0 {
-			b := int(bi)
-			copy(data[ri*wordvec.Dim:(ri+1)*wordvec.Dim], baseM.Row(b))
-			copy(proj[ri*k:(ri+1)*k], bProj[b*k:(b+1)*k])
-			res[ri] = bRes[b]
+			copy(data[ri*d:(ri+1)*d], baseM.Row(int(bi)))
 		} else {
-			copy(data[ri*wordvec.Dim:(ri+1)*wordvec.Dim], fData[fi*wordvec.Dim:(fi+1)*wordvec.Dim])
-			copy(proj[ri*k:(ri+1)*k], fProj[fi*k:(fi+1)*k])
-			res[ri] = fRes[fi]
+			copy(data[ri*d:(ri+1)*d], fData[fi*d:(fi+1)*d])
 			fi++
 		}
 	}
-	*heapBytes += int64(8 * (len(data) + len(proj) + len(res)))
-	m, err := wordvec.MatrixFromParts(data, proj, res)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapfile.ErrCorrupt, err)
-	}
-	return m, nil
+	*heapBytes += int64(8 * len(data))
+	return wordvec.MatrixFromParts(data)
 }

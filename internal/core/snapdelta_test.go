@@ -160,10 +160,28 @@ func TestSnapshotDeltaRejections(t *testing.T) {
 	}
 }
 
+// retiredSections is one retired format feature as older writers emitted
+// it: where its sections lived (catalog IDs and per-release offsets) and the
+// META basis word those writers set.
+type retiredSections struct {
+	name    string
+	catalog []uint32
+	release []int
+	basis   uint32 // META basis word to write; 0 keeps the image's own
+}
+
+// retiredFeatures lists every retired section set: the quantized tier and
+// the anchor-prescreen sketch (whose writers also set the basis word to 20).
+var retiredFeatures = []retiredSections{
+	{"quantized tier", []uint32{secCatQF, secCatQB}, []int{relMQF, relMQB, relIQF, relIQB}, 0},
+	{"prescreen sketch", []uint32{secCatProj, secCatRes}, []int{relMProj, relMRes, relIProj, relIRes}, 20},
+}
+
 // withReservedSections re-emits an image with junk payloads (valid CRCs)
-// appended under the reserved quantized-tier section IDs that older writers
-// filled: the catalog pair and the four per-release IDs of every release.
-func withReservedSections(t *testing.T, img []byte, releases int) []byte {
+// appended under one retired feature's reserved section IDs — the catalog
+// IDs and the per-release IDs of every release — and with that feature's
+// META basis word.
+func withReservedSections(t *testing.T, img []byte, releases int, rs retiredSections) []byte {
 	t.Helper()
 	r, err := snapfile.Open(img)
 	if err != nil {
@@ -173,22 +191,30 @@ func withReservedSections(t *testing.T, img []byte, releases int) []byte {
 	for i := 0; i < r.SectionCount(); i++ {
 		id := binary.LittleEndian.Uint32(img[32+32*i:])
 		payload, _ := r.Section(id)
+		if id == secMeta && rs.basis != 0 {
+			payload = append([]byte(nil), payload...)
+			// The basis word follows the package string, release count and dim.
+			off := 4 + binary.LittleEndian.Uint32(payload) + 4 + 4
+			binary.LittleEndian.PutUint32(payload[off:], rs.basis)
+		}
 		w.Add(id, payload)
 	}
-	junk := []byte("retired quantized tier \x00\x01\x02\xff")
-	w.Add(secCatQF, junk)
-	w.Add(secCatQB, junk)
+	junk := []byte("retired " + rs.name + " \x00\x01\x02\xff")
+	for _, id := range rs.catalog {
+		w.Add(id, junk)
+	}
 	for ri := 0; ri < releases; ri++ {
-		for _, which := range []int{relMQF, relMQB, relIQF, relIQB} {
+		for _, which := range rs.release {
 			w.Add(relSection(ri, which), junk)
 		}
 	}
 	return w.Bytes()
 }
 
-// TestOldImageQuantSectionsIgnored: images carrying the retired quantized
-// tier's sections load on both the full and the delta path and localize
-// byte-identically to the plain images; re-encoding drops the sections.
+// TestOldImageQuantSectionsIgnored: images carrying a retired feature's
+// sections (the quantized tier, the prescreen sketch with its basis word)
+// load on both the full and the delta path, localize byte-identically to
+// the plain images, and re-encode to the plain images.
 func TestOldImageQuantSectionsIgnored(t *testing.T) {
 	data := synth.GenerateSample(3)
 	app, baseApp, baseImg := deltaFixture(t, 3)
@@ -196,55 +222,59 @@ func TestOldImageQuantSectionsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldFull := withReservedSections(t, fullImg, len(app.Releases))
-	oldBase := withReservedSections(t, baseImg, len(baseApp.Releases))
-	oldDelta, err := EncodeSnapshotDelta(NewSnapshot(), app, oldBase)
-	if err != nil {
-		t.Fatalf("encode delta against an old base: %v", err)
-	}
-	oldDelta = withReservedSections(t, oldDelta, len(app.Releases))
-
 	fsn, fApp, err := LoadSnapshotBytes(fullImg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	osn, oApp, err := LoadSnapshotBytes(oldFull)
-	if err != nil {
-		t.Fatalf("load old full image: %v", err)
-	}
-	if re, err := EncodeSnapshot(osn, oApp); err != nil || string(re) != string(fullImg) {
-		t.Fatalf("re-encoding an old image is not the plain image (err %v)", err)
-	}
-	dsn, dApp, err := LoadSnapshotDeltaImages(oldDelta, oldBase)
-	if err != nil {
-		t.Fatalf("load old delta image: %v", err)
-	}
-
 	want := NewWithSnapshot(fsn)
 	reviews := data.Reviews
 	if len(reviews) > 10 {
 		reviews = reviews[:10]
 	}
-	for _, tc := range []struct {
-		name string
-		s    *Solver
-		app  *apk.App
-	}{{"full", NewWithSnapshot(osn), oApp}, {"delta", NewWithSnapshot(dsn), dApp}} {
-		for i, rv := range reviews {
-			_, wantTr := want.LocalizeReviewTraced(fApp, rv.Text, rv.PublishedAt)
-			_, gotTr := tc.s.LocalizeReviewTraced(tc.app, rv.Text, rv.PublishedAt)
-			wj, err1 := wantTr.JSON()
-			gj, err2 := gotTr.JSON()
-			if err1 != nil || err2 != nil {
-				t.Fatalf("trace JSON: %v / %v", err1, err2)
+
+	for _, rs := range retiredFeatures {
+		oldFull := withReservedSections(t, fullImg, len(app.Releases), rs)
+		oldBase := withReservedSections(t, baseImg, len(baseApp.Releases), rs)
+		oldDelta, err := EncodeSnapshotDelta(NewSnapshot(), app, oldBase)
+		if err != nil {
+			t.Fatalf("%s: encode delta against an old base: %v", rs.name, err)
+		}
+		oldDelta = withReservedSections(t, oldDelta, len(app.Releases), rs)
+
+		osn, oApp, err := LoadSnapshotBytes(oldFull)
+		if err != nil {
+			t.Fatalf("%s: load old full image: %v", rs.name, err)
+		}
+		dsn, dApp, err := LoadSnapshotDeltaImages(oldDelta, oldBase)
+		if err != nil {
+			t.Fatalf("%s: load old delta image: %v", rs.name, err)
+		}
+
+		for _, tc := range []struct {
+			name string
+			sn   *Snapshot
+			app  *apk.App
+		}{{"full", osn, oApp}, {"delta", dsn, dApp}} {
+			if re, err := EncodeSnapshot(tc.sn, tc.app); err != nil || string(re) != string(fullImg) {
+				t.Fatalf("%s %s: re-encoding an old image is not the plain image (err %v)", rs.name, tc.name, err)
 			}
-			if string(wj) != string(gj) {
-				t.Fatalf("%s path review %d: old image localizes differently", tc.name, i)
-			}
-			w := want.LocalizeReview(fApp, rv.Text, rv.PublishedAt)
-			g := tc.s.LocalizeReview(tc.app, rv.Text, rv.PublishedAt)
-			if !reflect.DeepEqual(g.Mappings, w.Mappings) || !reflect.DeepEqual(g.Ranked, w.Ranked) {
-				t.Fatalf("%s path review %d: old image mappings differ", tc.name, i)
+			s := NewWithSnapshot(tc.sn)
+			for i, rv := range reviews {
+				_, wantTr := want.LocalizeReviewTraced(fApp, rv.Text, rv.PublishedAt)
+				_, gotTr := s.LocalizeReviewTraced(tc.app, rv.Text, rv.PublishedAt)
+				wj, err1 := wantTr.JSON()
+				gj, err2 := gotTr.JSON()
+				if err1 != nil || err2 != nil {
+					t.Fatalf("trace JSON: %v / %v", err1, err2)
+				}
+				if string(wj) != string(gj) {
+					t.Fatalf("%s %s path review %d: old image localizes differently", rs.name, tc.name, i)
+				}
+				w := want.LocalizeReview(fApp, rv.Text, rv.PublishedAt)
+				g := s.LocalizeReview(tc.app, rv.Text, rv.PublishedAt)
+				if !reflect.DeepEqual(g.Mappings, w.Mappings) || !reflect.DeepEqual(g.Ranked, w.Ranked) {
+					t.Fatalf("%s %s path review %d: old image mappings differ", rs.name, tc.name, i)
+				}
 			}
 		}
 	}

@@ -8,13 +8,13 @@
 //	APP_IR    the app IR in the compact apk binary codec
 //	INTERNER  the textproc.Interner symbol table (words + flags)
 //	CAT_*     the full-catalog phrase table: per-entry metadata plus the
-//	          flattened scan matrix with its prescreen sketch
+//	          flattened scan matrix
 //	per release r (sections relSecBase + r*relSecStride + …):
 //	  REL_META  the extracted inventories (APIs, URIs, intents, messages,
 //	            method phrases, GUIs) as offset-indexed string records
 //	  REL_VECS  every loose phrase vector, one contiguous float block
-//	  REL_M*    the method-phrase matrix (data / sketch projections / residuals)
-//	  REL_I*    the invisible-label matrix (same three blocks)
+//	  REL_MDATA the method-phrase matrix, one float block
+//	  REL_IDATA the invisible-label matrix, one float block
 //
 // Float blocks are written as raw little-endian float64 rows, 8-byte aligned
 // by the container, so the loader reinterprets them in place (zero copy).
@@ -46,10 +46,12 @@ const (
 	secInterner = 3
 	secCatMeta  = 4
 	secCatData  = 5
-	secCatProj  = 6
-	secCatRes   = 7
 	secCatPerm  = 8
 
+	// Reserved for older images' prescreen sketch (projections, residual
+	// norms); ignored on load, never reuse.
+	secCatProj = 6
+	secCatRes  = 7
 	// Reserved for older images' quantized tier; ignored on load, never reuse.
 	secCatQF = 9
 	secCatQB = 10
@@ -61,11 +63,13 @@ const (
 	relMeta      = 0
 	relVecs      = 1
 	relMData     = 2
-	relMProj     = 3
-	relMRes      = 4
 	relIData     = 5
-	relIProj     = 6
-	relIRes      = 7
+	// Reserved for older images' prescreen sketch; ignored on load, never
+	// reuse.
+	relMProj = 3
+	relMRes  = 4
+	relIProj = 6
+	relIRes  = 7
 	// Reserved for older images' quantized tier; ignored on load, never reuse.
 	relMQF = 8
 	relMQB = 9
@@ -74,7 +78,7 @@ const (
 
 	// Delta images (see snapdelta.go): secDeltaMeta marks the container as
 	// a delta against a base image and records the binding; a release's
-	// relDelta section holds its row maps, with the relM*/relI* float
+	// relDelta section holds its row maps, with the relMData/relIData float
 	// sections then carrying only the rows the base does not supply.
 	secDeltaMeta = 11
 	relDelta     = 12
@@ -165,7 +169,7 @@ func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
 	meta.Str(app.Package)
 	meta.U32(uint32(len(app.Releases)))
 	meta.U32(uint32(wordvec.Dim))
-	meta.U32(uint32(wordvec.BasisSize()))
+	meta.U32(0) // reserved: the retired prescreen basis size, ignored on load
 	meta.F64(wordvec.DefaultThreshold)
 	meta.U32(uint32(len(s.catalog.APIs())))
 	meta.U32(cachedCatalogFingerprint(s.catalog))
@@ -218,10 +222,7 @@ func encodeCatalog(w *snapfile.Writer, t *catalogTable) error {
 		}
 	}
 	w.Add(secCatMeta, meta.Bytes())
-	proj, res := t.matrix.Sketch()
 	w.Add(secCatData, snapfile.Float64Bytes(t.matrix.Data()))
-	w.Add(secCatProj, snapfile.Float64Bytes(proj))
-	w.Add(secCatRes, snapfile.Float64Bytes(res))
 	w.Add(secCatPerm, perm.Bytes())
 	return nil
 }
@@ -230,15 +231,8 @@ func encodeRelease(w *snapfile.Writer, ri int, info *StaticInfo) error {
 	if err := encodeReleaseMeta(w, ri, info); err != nil {
 		return err
 	}
-	mProj, mRes := info.methodMatrix.Sketch()
 	w.Add(relSection(ri, relMData), snapfile.Float64Bytes(info.methodMatrix.Data()))
-	w.Add(relSection(ri, relMProj), snapfile.Float64Bytes(mProj))
-	w.Add(relSection(ri, relMRes), snapfile.Float64Bytes(mRes))
-
-	iProj, iRes := info.invisibleMatrix.Sketch()
 	w.Add(relSection(ri, relIData), snapfile.Float64Bytes(info.invisibleMatrix.Data()))
-	w.Add(relSection(ri, relIProj), snapfile.Float64Bytes(iProj))
-	w.Add(relSection(ri, relIRes), snapfile.Float64Bytes(iRes))
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // The budget breaks down as: read + container validation (checksums), the
 // binary IR decode, one apg.Build per release (~¼ ms total for a seeded
 // app), and pure slice stitching. The expensive state — every phrase
-// embedding and prescreen sketch — is reinterpreted in place from the file
+// embedding — is reinterpreted in place from the file
 // image (snapfile.Float64View / wordvec.RowVectors), never recomputed and
 // never copied row by row. The solver components (catalog, embedding model,
 // tagger, Q&A index) come from a process-wide template built once by
@@ -30,7 +30,7 @@ import (
 
 // ErrSnapshotIncompatible reports a structurally valid snapshot written
 // against a different build: catalog content, vocabulary, embedding
-// dimension, or prescreen basis changed since the file was compiled.
+// dimension, or match threshold changed since the file was compiled.
 // Recompile the snapshot with the current binary.
 var ErrSnapshotIncompatible = errors.New("core: snapshot incompatible with this build")
 
@@ -92,7 +92,7 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	// count is not bounded by this payload's size.
 	releaseCount := int(md.U32())
 	dim := md.U32()
-	basis := md.U32()
+	md.U32() // reserved: the retired prescreen basis size, ignored
 	threshold := md.F64()
 	catCount := md.U32()
 	catCRC := md.U32()
@@ -100,9 +100,9 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	if err := md.Done(); err != nil {
 		return nil, nil, err
 	}
-	if int(dim) != wordvec.Dim || int(basis) != wordvec.BasisSize() || threshold != wordvec.DefaultThreshold {
-		return nil, nil, fmt.Errorf("%w: dim %d / basis %d / threshold %v, build has %d / %d / %v",
-			ErrSnapshotIncompatible, dim, basis, threshold, wordvec.Dim, wordvec.BasisSize(), wordvec.DefaultThreshold)
+	if int(dim) != wordvec.Dim || threshold != wordvec.DefaultThreshold {
+		return nil, nil, fmt.Errorf("%w: dim %d / threshold %v, build has %d / %v",
+			ErrSnapshotIncompatible, dim, threshold, wordvec.Dim, wordvec.DefaultThreshold)
 	}
 	if int(catCount) != len(s.catalog.APIs()) || catCRC != cachedCatalogFingerprint(s.catalog) {
 		return nil, nil, fmt.Errorf("%w: catalog fingerprint mismatch", ErrSnapshotIncompatible)
@@ -179,16 +179,12 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	return sn, app, nil
 }
 
-// loadCatalogTable stitches the catalog scan table back together: matrix,
-// sketch and permission vectors are zero-copy views of the file image.
+// loadCatalogTable stitches the catalog scan table back together: matrix
+// and permission vectors are zero-copy views of the file image.
 func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
-	data, proj, res, err := matrixParts(r, secCatData, secCatProj, secCatRes)
+	matrix, err := loadMatrix(r, secCatData, "catalog")
 	if err != nil {
 		return nil, err
-	}
-	matrix, err := wordvec.MatrixFromParts(data, proj, res)
-	if err != nil {
-		return nil, fmt.Errorf("%w: catalog matrix: %v", snapfile.ErrCorrupt, err)
 	}
 
 	metaPayload, err := r.MustSection(secCatMeta)
@@ -251,23 +247,26 @@ func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
 	return t, nil
 }
 
-// matrixParts reads one matrix's three float sections as zero-copy views.
-func matrixParts(r *snapfile.Reader, dataID, projID, resID uint32) (data, proj, res []float64, err error) {
-	for _, part := range []struct {
-		id  uint32
-		out *[]float64
-	}{{dataID, &data}, {projID, &proj}, {resID, &res}} {
-		payload, err := r.MustSection(part.id)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		view, err := snapfile.Float64View(payload)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		*part.out = view
+// floatSection reads one float section as a zero-copy view.
+func floatSection(r *snapfile.Reader, id uint32) ([]float64, error) {
+	payload, err := r.MustSection(id)
+	if err != nil {
+		return nil, err
 	}
-	return data, proj, res, nil
+	return snapfile.Float64View(payload)
+}
+
+// loadMatrix reads one matrix's float section as a zero-copy Matrix.
+func loadMatrix(r *snapfile.Reader, id uint32, what string) (*wordvec.Matrix, error) {
+	data, err := floatSection(r, id)
+	if err != nil {
+		return nil, err
+	}
+	m, err := wordvec.MatrixFromParts(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s matrix: %v", snapfile.ErrCorrupt, what, err)
+	}
+	return m, nil
 }
 
 // loadRelease reconstructs one release's StaticInfo: inventories from
@@ -281,19 +280,11 @@ func loadRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalo
 	}
 
 	// Matrices: zero-copy views over the file image.
-	mData, mProj, mRes, err := matrixParts(r, relSection(ri, relMData), relSection(ri, relMProj), relSection(ri, relMRes))
-	if err != nil {
+	if info.methodMatrix, err = loadMatrix(r, relSection(ri, relMData), "method"); err != nil {
 		return nil, err
 	}
-	if info.methodMatrix, err = wordvec.MatrixFromParts(mData, mProj, mRes); err != nil {
-		return nil, fmt.Errorf("%w: method matrix: %v", snapfile.ErrCorrupt, err)
-	}
-	iData, iProj, iRes, err := matrixParts(r, relSection(ri, relIData), relSection(ri, relIProj), relSection(ri, relIRes))
-	if err != nil {
+	if info.invisibleMatrix, err = loadMatrix(r, relSection(ri, relIData), "invisible"); err != nil {
 		return nil, err
-	}
-	if info.invisibleMatrix, err = wordvec.MatrixFromParts(iData, iProj, iRes); err != nil {
-		return nil, fmt.Errorf("%w: invisible matrix: %v", snapfile.ErrCorrupt, err)
 	}
 	if err := attachReleaseMatrices(info); err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ type Snapshot struct {
 	solver *Solver
 
 	// catalogVecs is the eagerly built full-catalog phrase table: per-API
-	// entries plus the flattened scan matrix with its prescreen sketch.
+	// entries plus the flattened scan matrix.
 	catalogVecs *catalogTable
 
 	// materializedBytes counts the heap float bytes a delta load copied out

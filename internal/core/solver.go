@@ -137,7 +137,6 @@ func (s *Solver) buildCatalogVecs() *catalogTable {
 		t.entries = append(t.entries, entry)
 		t.rowStart = append(t.rowStart, int32(t.matrix.Rows()))
 	}
-	t.matrix.Finish()
 	return t
 }
 
@@ -207,7 +206,7 @@ func WithChangeAwareRank() Option {
 
 // WithObserver installs a telemetry recorder. The pipeline then emits
 // stage spans (with durations feeding the latency histograms and the
-// structured span log), prescreen counters, and the match-similarity
+// structured span log), scan counters, and the match-similarity
 // histogram. Observation never changes localization output.
 func WithObserver(rec *obs.Recorder) Option {
 	return func(s *Solver) { s.rec = rec }
@@ -334,7 +333,7 @@ func (s *Solver) LocalizeReview(app *apk.App, text string, publishedAt time.Time
 
 // LocalizeReviewTraced is LocalizeReview plus an explain trace: a
 // deterministic per-review record of every phrase → candidate correlation
-// (with its information source and similarity), every kernel prescreen
+// (with its information source and similarity), every kernel
 // scan, and the stage walk. The trace carries no wall-clock fields, so for
 // a fixed corpus and review its JSON encoding is byte-identical across
 // runs and worker counts.

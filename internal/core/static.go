@@ -169,23 +169,7 @@ func (s *Solver) ExtractStatic(r *apk.Release) *StaticInfo {
 // vectors). Everything here is derived deterministically from fields built
 // above; after this call the StaticInfo is read-only.
 func (info *StaticInfo) buildScanState(s *Solver) {
-	info.methodMatrix = wordvec.NewMatrix(len(info.MethodPhrases))
-	for i := range info.MethodPhrases {
-		info.methodMatrix.Append(info.MethodPhrases[i].Vec)
-	}
-	info.methodMatrix.Finish()
-
-	info.invisibleMatrix = wordvec.NewMatrix(0)
-	for gi := range info.GUIs {
-		for wi, idWords := range info.GUIs[gi].InvisibleWords {
-			if len(idWords) == 0 {
-				continue
-			}
-			info.invisibleMatrix.Append(info.invisibleVecs[gi][wi])
-			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
-		}
-	}
-	info.invisibleMatrix.Finish()
+	info.buildMatrices()
 
 	info.uriNounVecs = make([]wordvec.Vector, len(info.URIs))
 	for i := range info.URIs {
@@ -211,6 +195,27 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 	info.normMessages = make([]string, len(info.Messages))
 	for i := range info.Messages {
 		info.normMessages[i] = normalizeMessage(info.Messages[i].Text)
+	}
+}
+
+// buildMatrices flattens the method-phrase vectors and the non-empty
+// widget-id vectors (in nested GUI×widget order, recorded in invisibleRows)
+// into the two scan matrices. Full and incremental extraction share it.
+func (info *StaticInfo) buildMatrices() {
+	info.methodMatrix = wordvec.NewMatrix(len(info.MethodPhrases))
+	for i := range info.MethodPhrases {
+		info.methodMatrix.Append(info.MethodPhrases[i].Vec)
+	}
+
+	info.invisibleMatrix = wordvec.NewMatrix(0)
+	for gi := range info.GUIs {
+		for wi, idWords := range info.GUIs[gi].InvisibleWords {
+			if len(idWords) == 0 {
+				continue
+			}
+			info.invisibleMatrix.Append(info.invisibleVecs[gi][wi])
+			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
+		}
 	}
 }
 

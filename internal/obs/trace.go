@@ -11,8 +11,8 @@ const TraceSchemaVersion = 1
 
 // ReviewTrace is the explain-trace artifact for one localized review: a
 // deterministic record of which phrase matched which candidate via which
-// information source at what similarity, what the kernel prescreen did,
-// and how the review moved through the pipeline stages. It deliberately
+// information source at what similarity, how many rows each kernel scan
+// touched, and how the review moved through the pipeline stages. It deliberately
 // carries no wall-clock fields — for a fixed corpus, model, and review the
 // JSON encoding is byte-identical across runs (durations live in the
 // metrics registry and the span log instead).
@@ -36,7 +36,7 @@ type ReviewTrace struct {
 	// Matches are the phrase → candidate correlations, in the order the
 	// (deterministically merged) localizers emitted them.
 	Matches []MatchTrace `json:"matches,omitempty"`
-	// Scans record the kernel prescreen behaviour of every matrix scan.
+	// Scans record the row counts of every kernel matrix scan.
 	Scans []ScanTrace `json:"scans,omitempty"`
 	// Pool captures queue/worker occupancy at pickup when the review was
 	// drained through a core.Pool (absent for standalone localization).
@@ -75,7 +75,7 @@ type MatchTrace struct {
 	Similarity float64 `json:"similarity"`
 }
 
-// ScanTrace records the prescreen statistics of one phrase × matrix scan.
+// ScanTrace records the row statistics of one phrase × matrix scan.
 type ScanTrace struct {
 	// Stage is the localizer stage slug that issued the scan.
 	Stage string `json:"stage"`
@@ -84,11 +84,9 @@ type ScanTrace struct {
 	Matrix string `json:"matrix"`
 	// Phrase is the query phrase.
 	Phrase string `json:"phrase"`
-	// Rows is the matrix size; Pruned rows were skipped on the prescreen
-	// bound alone, Evaluated rows paid a full dot product, Matched rows
-	// crossed the threshold.
+	// Rows is the matrix size; Evaluated rows paid a dot product, Matched
+	// rows crossed the threshold.
 	Rows      int `json:"rows"`
-	Pruned    int `json:"pruned"`
 	Evaluated int `json:"evaluated"`
 	Matched   int `json:"matched"`
 }
@@ -215,9 +213,8 @@ func ValidateTraceJSON(data []byte) error {
 	for i, s := range t.Scans {
 		// Early-exit scans (Algorithm 1's per-entry break) touch fewer rows
 		// than the matrix holds; they can never touch more.
-		if s.Pruned+s.Evaluated > s.Rows {
-			return fmt.Errorf("explain trace: scan %d pruned %d + evaluated %d > rows %d",
-				i, s.Pruned, s.Evaluated, s.Rows)
+		if s.Evaluated > s.Rows {
+			return fmt.Errorf("explain trace: scan %d evaluated %d > rows %d", i, s.Evaluated, s.Rows)
 		}
 		if s.Matched > s.Evaluated {
 			return fmt.Errorf("explain trace: scan %d matched %d > evaluated %d", i, s.Matched, s.Evaluated)

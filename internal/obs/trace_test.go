@@ -19,7 +19,7 @@ func validTrace() *ReviewTrace {
 	})
 	tr.AddScan(ScanTrace{
 		Stage: "app_specific", Matrix: "method_phrases", Phrase: "fetch mail",
-		Rows: 45, Pruned: 41, Evaluated: 4, Matched: 1,
+		Rows: 45, Evaluated: 45, Matched: 1,
 	})
 	tr.Ranked = []RankedTrace{{
 		Rank: 1, Class: "com.app.MailFetcher", Importance: 1,
@@ -52,7 +52,7 @@ func TestTraceJSONGolden(t *testing.T) {
 		`"review": "cannot fetch mail"`,
 		`"source": "method name"`,
 		`"similarity": 0.97`,
-		`"pruned": 41`,
+		`"evaluated": 45`,
 		`"rank": 1`,
 	} {
 		if !bytes.Contains(a, []byte(want)) {
@@ -73,7 +73,7 @@ func TestValidateTraceJSONRejections(t *testing.T) {
 		{"match without class", func(tr *ReviewTrace) { tr.Matches[0].Class = "" }, "no class"},
 		{"similarity out of range", func(tr *ReviewTrace) { tr.Matches[0].Similarity = 1.5 }, "out of [0, 1]"},
 		{"scan over rows", func(tr *ReviewTrace) { tr.Scans[0].Evaluated = 100 }, "> rows"},
-		{"scan matched over evaluated", func(tr *ReviewTrace) { tr.Scans[0].Matched = 9 }, "matched 9 > evaluated"},
+		{"scan matched over evaluated", func(tr *ReviewTrace) { tr.Scans[0].Matched = 46 }, "matched 46 > evaluated"},
 		{"rank out of order", func(tr *ReviewTrace) { tr.Ranked[0].Rank = 3 }, "has rank 3"},
 		{"ranked without matches", func(tr *ReviewTrace) { tr.Ranked[0].Matches = nil }, "references no matches"},
 		{"ranked match out of range", func(tr *ReviewTrace) { tr.Ranked[0].Matches = []int{5} }, "references match 5"},
@@ -101,13 +101,13 @@ func TestValidateTraceJSONRejections(t *testing.T) {
 	}
 }
 
-// TestValidateAllowsEarlyExitScans: AnyAtLeast-style scans stop at the
-// first hit, so pruned+evaluated may undercount rows — that must validate.
+// TestValidateAllowsEarlyExitScans: AnyAtLeastCount-style scans stop at the
+// first hit, so evaluated may undercount rows — that must validate.
 func TestValidateAllowsEarlyExitScans(t *testing.T) {
 	tr := validTrace()
 	tr.Scans[0] = ScanTrace{
 		Stage: "api_uri_intent", Matrix: "catalog", Phrase: "fetch mail",
-		Rows: 300, Pruned: 10, Evaluated: 2, Matched: 1,
+		Rows: 300, Evaluated: 2, Matched: 1,
 	}
 	data, err := tr.JSON()
 	if err != nil {

@@ -93,37 +93,7 @@ func TestDotBatch(t *testing.T) {
 	}
 }
 
-// TestPrescreenBoundIsSound is the soundness property of the prescreen: the
-// anchor-projection bound must never fall below the true dot (beyond the
-// epsilon margin), for random unit vectors and for real phrase vectors.
-func TestPrescreenBoundIsSound(t *testing.T) {
-	m := NewModel()
-	rng := rand.New(rand.NewSource(21))
-	var cands []Vector
-	cands = append(cands, phraseCorpus(m)...)
-	for i := 0; i < 200; i++ {
-		cands = append(cands, randomUnit(rng))
-	}
-	mat := NewMatrix(len(cands))
-	for _, v := range cands {
-		mat.Append(v)
-	}
-	mat.Finish()
-
-	queries := append(phraseCorpus(m), randomUnit(rng), randomUnit(rng))
-	for qi, qv := range queries {
-		q := PrepareQuery(qv)
-		for r, c := range cands {
-			d := Dot(qv, c)
-			b := mat.bound(&q, r)
-			if b < d-prescreenEps {
-				t.Fatalf("query %d row %d: bound %v < dot %v — prescreen unsound", qi, r, b, d)
-			}
-		}
-	}
-}
-
-// TestScanThresholdMatchesBruteForce: the prescreened scan must yield
+// TestScanThresholdMatchesBruteForce: the threshold scan must yield
 // exactly the rows a brute-force dot pass finds, for thresholds around the
 // operating point.
 func TestScanThresholdMatchesBruteForce(t *testing.T) {
@@ -138,11 +108,9 @@ func TestScanThresholdMatchesBruteForce(t *testing.T) {
 	for _, v := range cands {
 		mat.Append(v)
 	}
-	mat.Finish()
 
 	for _, th := range []float64{0.2, 0.5, DefaultThreshold, 0.9} {
 		for qi, qv := range phraseCorpus(m) {
-			q := PrepareQuery(qv)
 			var want []int
 			for r, c := range cands {
 				if Dot(qv, c) >= th {
@@ -150,7 +118,7 @@ func TestScanThresholdMatchesBruteForce(t *testing.T) {
 				}
 			}
 			var got []int
-			mat.ScanThreshold(&q, th, 0, mat.Rows(), func(r int, d float64) {
+			mat.ScanThresholdCount(&qv, th, 0, mat.Rows(), func(r int, d float64) {
 				if d != Dot(qv, cands[r]) {
 					t.Fatalf("query %d row %d: yielded dot %v != Dot %v", qi, r, d, Dot(qv, cands[r]))
 				}
@@ -164,17 +132,17 @@ func TestScanThresholdMatchesBruteForce(t *testing.T) {
 					t.Fatalf("th=%v query %d: row %d differs (%d vs %d)", th, qi, i, got[i], want[i])
 				}
 			}
-			// AnyAtLeast agrees with the scan.
-			if mat.AnyAtLeast(&q, th, 0, mat.Rows()) != (len(want) > 0) {
-				t.Fatalf("th=%v query %d: AnyAtLeast disagrees with scan", th, qi)
+			// AnyAtLeastCount agrees with the scan.
+			if hit, _ := mat.AnyAtLeastCount(&qv, th, 0, mat.Rows()); hit != (len(want) > 0) {
+				t.Fatalf("th=%v query %d: AnyAtLeastCount disagrees with scan", th, qi)
 			}
 		}
 	}
 }
 
-// TestScanCountConsistent: pruned+evaluated covers every row, matched
-// equals the brute-force match count, and the early-exit AnyAtLeastCount
-// books exactly the rows it touched.
+// TestScanCountConsistent: evaluated covers every row, matched equals the
+// brute-force match count, and the early-exit AnyAtLeastCount books exactly
+// the rows it touched.
 func TestScanCountConsistent(t *testing.T) {
 	m := NewModel()
 	cands := phraseCorpus(m)
@@ -182,16 +150,14 @@ func TestScanCountConsistent(t *testing.T) {
 	for _, v := range cands {
 		mat.Append(v)
 	}
-	mat.Finish()
-	qv := m.PhraseVector([]string{"fetch", "mail"})
-	q := PrepareQuery(qv)
+	q := m.PhraseVector([]string{"fetch", "mail"})
 	sc := mat.ScanThresholdCount(&q, DefaultThreshold, 0, mat.Rows(), func(int, float64) {})
-	if sc.Pruned+sc.Evaluated != mat.Rows() {
-		t.Fatalf("pruned %d + evaluated %d != rows %d", sc.Pruned, sc.Evaluated, mat.Rows())
+	if sc.Evaluated != mat.Rows() {
+		t.Fatalf("evaluated %d != rows %d", sc.Evaluated, mat.Rows())
 	}
 	want := 0
 	for _, c := range cands {
-		if Dot(qv, c) >= DefaultThreshold {
+		if Dot(q, c) >= DefaultThreshold {
 			want++
 		}
 	}
@@ -206,8 +172,8 @@ func TestScanCountConsistent(t *testing.T) {
 	if asc.Matched > 1 {
 		t.Fatalf("early-exit scan reported %d matches", asc.Matched)
 	}
-	if asc.Pruned+asc.Evaluated > mat.Rows() {
-		t.Fatalf("early-exit scan touched %d rows of %d", asc.Pruned+asc.Evaluated, mat.Rows())
+	if asc.Evaluated > mat.Rows() {
+		t.Fatalf("early-exit scan touched %d rows of %d", asc.Evaluated, mat.Rows())
 	}
 
 	var merged ScanCount
@@ -219,30 +185,8 @@ func TestScanCountConsistent(t *testing.T) {
 	}
 }
 
-// TestAnchorBasisOrthonormal: the Gram–Schmidt basis must be orthonormal to
-// float tolerance (the projection identity the bound relies on).
-func TestAnchorBasisOrthonormal(t *testing.T) {
-	basis := anchorBasis()
-	if len(basis) == 0 || len(basis) > prescreenBasisMax {
-		t.Fatalf("basis size %d out of range (max %d)", len(basis), prescreenBasisMax)
-	}
-	for i := range basis {
-		for j := range basis {
-			d := Dot(basis[i], basis[j])
-			want := 0.0
-			if i == j {
-				want = 1.0
-			}
-			if math.Abs(d-want) > 1e-9 {
-				t.Fatalf("basis[%d]·basis[%d] = %v, want %v", i, j, d, want)
-			}
-		}
-	}
-}
-
-// TestMatrixFromParts: a matrix reassembled from its serialized blocks must
-// scan identically to the original — same sketch, same prune/evaluate/match
-// decisions — and reject mis-shaped blocks.
+// TestMatrixFromParts: a matrix reassembled from its serialized rows must
+// scan identically to the original, and mis-shaped data is rejected.
 func TestMatrixFromParts(t *testing.T) {
 	m := NewModel()
 	vecs := phraseCorpus(m)
@@ -250,17 +194,11 @@ func TestMatrixFromParts(t *testing.T) {
 	for _, v := range vecs {
 		orig.Append(v)
 	}
-	orig.Finish()
-
-	proj, res := orig.Sketch()
-	if len(res) != orig.Rows() || len(proj) != orig.Rows()*BasisSize() {
-		t.Fatalf("Sketch shapes %d/%d for %d rows", len(proj), len(res), orig.Rows())
-	}
-	re, err := MatrixFromParts(orig.Data(), proj, res)
+	re, err := MatrixFromParts(orig.Data())
 	if err != nil {
 		t.Fatalf("MatrixFromParts: %v", err)
 	}
-	q := PrepareQuery(m.PhraseVector([]string{"receive", "email"}))
+	q := m.PhraseVector([]string{"receive", "email"})
 	type hit struct {
 		row int
 		dot float64
@@ -282,32 +220,14 @@ func TestMatrixFromParts(t *testing.T) {
 			t.Fatalf("hit %d: %+v != %+v", i, gotHits[i], wantHits[i])
 		}
 	}
-
-	// Sketchless rebuild: same matches, nothing pruned.
-	plain, err := MatrixFromParts(orig.Data(), nil, nil)
-	if err != nil {
-		t.Fatalf("MatrixFromParts without sketch: %v", err)
-	}
-	plainHits, plainSC := scan(plain)
-	if len(plainHits) != len(wantHits) || plainSC.Pruned != 0 {
-		t.Fatalf("sketchless scan: %v %+v", plainHits, plainSC)
-	}
-
-	// Shape validation.
-	if _, err := MatrixFromParts(orig.Data()[:Dim-1], nil, nil); err == nil {
+	if _, err := MatrixFromParts(orig.Data()[:Dim-1]); err == nil {
 		t.Fatal("accepted data not a multiple of Dim")
-	}
-	if _, err := MatrixFromParts(orig.Data(), proj[:len(proj)-1], res); err == nil {
-		t.Fatal("accepted short projections")
-	}
-	if _, err := MatrixFromParts(orig.Data(), proj, res[:len(res)-1]); err == nil {
-		t.Fatal("accepted short residuals")
 	}
 }
 
 // TestMatrixFromPartsEmpty: the zero-row round trip.
 func TestMatrixFromPartsEmpty(t *testing.T) {
-	m, err := MatrixFromParts(nil, nil, nil)
+	m, err := MatrixFromParts(nil)
 	if err != nil || m.Rows() != 0 {
 		t.Fatalf("empty rebuild: %v rows=%d", err, m.Rows())
 	}
