@@ -71,21 +71,21 @@ serve-smoke:
 # `reviewd -fleetstat` twice and require byte-identical SLO digest
 # artifacts (the scenario also backs the exact BENCH_FLEETOBS.json gate).
 fleetobs-smoke:
-	$(GO) run ./cmd/reviewd -fleetstat /tmp/fleetstat-a.json -q
-	$(GO) run ./cmd/reviewd -fleetstat /tmp/fleetstat-b.json -q
-	cmp /tmp/fleetstat-a.json /tmp/fleetstat-b.json
-	@rm -f /tmp/fleetstat-a.json /tmp/fleetstat-b.json
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/reviewd -fleetstat "$$dir/a.json" -q && \
+	$(GO) run ./cmd/reviewd -fleetstat "$$dir/b.json" -q && \
+	cmp "$$dir/a.json" "$$dir/b.json"
 
-# Incremental-rebuild smoke: compile a base snapshot, write a delta against
-# it twice with the incremental extraction path (must be byte-identical),
-# verify the delta round-trips and localizes like the direct build, and run
-# one iteration of the version-bump rebuild benchmark.
+# Version-bump smoke: compile a base snapshot, write a delta image against
+# it twice (must be byte-identical), verify the delta round-trips and
+# localizes like the direct build, and run one iteration of the
+# version-bump rebuild benchmark.
 delta-smoke:
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -o /tmp/delta-base.snap -q
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base /tmp/delta-base.snap -o /tmp/delta-a.snap -verify -q
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base /tmp/delta-base.snap -o /tmp/delta-b.snap -q
-	cmp /tmp/delta-a.snap /tmp/delta-b.snap
-	@rm -f /tmp/delta-base.snap /tmp/delta-a.snap /tmp/delta-b.snap
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -o "$$dir/base.snap" -q && \
+	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base "$$dir/base.snap" -o "$$dir/a.snap" -verify -q && \
+	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base "$$dir/base.snap" -o "$$dir/b.snap" -q && \
+	cmp "$$dir/a.snap" "$$dir/b.snap"
 	$(GO) test -run '^$$' -bench DeltaRebuild -benchtime 1x ./internal/synth
 
 # Short fuzz runs over the hostile-input surfaces: the snapshot container

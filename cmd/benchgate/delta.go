@@ -9,8 +9,8 @@ import (
 	"reviewsolver/internal/synth"
 )
 
-// deltaSnapshot builds the BENCH_DELTA.json gate for the incremental
-// rebuild engine: structural diff counts and row-reuse accounting for the
+// deltaSnapshot builds the BENCH_DELTA.json gate for version-bump
+// rebuilds: structural diff counts and embedding-reuse accounting for the
 // seeded app's release chain, invariants pinned at their only acceptable
 // value (delta-vs-full localization mismatches 0, delta image determinism
 // and load equivalence 1), and the headline metrics of the change-aware
@@ -31,21 +31,13 @@ func deltaSnapshot(seed int64, runner *experiments.Runner) (snapshotFile, error)
 	stats := dsn.PrecomputeDelta(app)
 
 	var agg core.DeltaStats
-	fellBack := 0
 	for _, st := range stats[1:] {
-		if st.Full {
-			fellBack++
-			continue
-		}
 		agg.ClassesAdded += st.ClassesAdded
 		agg.ClassesRemoved += st.ClassesRemoved
 		agg.ClassesChanged += st.ClassesChanged
 		agg.MethodRowsReused += st.MethodRowsReused
 		agg.MethodRowsFresh += st.MethodRowsFresh
-		agg.InvisibleRowsReused += st.InvisibleRowsReused
 		agg.InvisibleRowsFresh += st.InvisibleRowsFresh
-		agg.GUIsReused += st.GUIsReused
-		agg.GUIsFresh += st.GUIsFresh
 	}
 
 	// Delta-vs-full localization equivalence over a fixed review sample;
@@ -105,13 +97,9 @@ func deltaSnapshot(seed int64, runner *experiments.Runner) (snapshotFile, error)
 		"diff|classes_changed":    float64(agg.ClassesChanged),
 		"rows|method_reused":      float64(agg.MethodRowsReused),
 		"rows|method_fresh":       float64(agg.MethodRowsFresh),
-		"rows|invisible_reused":   float64(agg.InvisibleRowsReused),
 		"rows|invisible_fresh":    float64(agg.InvisibleRowsFresh),
-		"rows|guis_reused":        float64(agg.GUIsReused),
-		"rows|guis_fresh":         float64(agg.GUIsFresh),
 		"image|delta_bytes":       float64(len(deltaImg)),
 		"image|base_bytes":        float64(len(baseImg)),
-		"pin|full_fallbacks":      float64(fellBack),
 		"pin|delta_vs_full":       float64(mismatches),
 		"pin|delta_load_vs_full":  float64(loadMismatches),
 		"pin|delta_deterministic": deterministic,

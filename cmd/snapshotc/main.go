@@ -13,8 +13,8 @@
 //	snapshotc -app com.fsck.k9 -o k9.snap -verify
 //	snapshotc -app com.fsck.k9 -base old.snap -o k9.delta.snap
 //
-// -base switches to the release-cadence path: the app is extracted
-// incrementally against each release's predecessor (core.PrecomputeDelta)
+// -base switches to the release-cadence path: each release is extracted
+// reusing its predecessor's name-keyed embeddings (core.PrecomputeDelta)
 // and written as a delta image against the given base snapshot — only the
 // embedding rows the base cannot supply are stored, and the result loads
 // with core.LoadSnapshotDelta. Delta output is exactly as deterministic as
@@ -53,7 +53,7 @@ func run() error {
 		appFile = flag.String("appfile", "", "path to an app IR JSON file")
 		seed    = flag.Int64("seed", 1, "generator seed for built-in apps")
 		out     = flag.String("o", "", "output .snap path (required)")
-		base    = flag.String("base", "", "base .snap image: extract incrementally and write a delta against it")
+		base    = flag.String("base", "", "base .snap image: write a delta against it")
 		verify  = flag.Bool("verify", false, "after writing, round-trip the file and cross-check localization output")
 		list    = flag.Bool("list", false, "list the built-in generated apps")
 		quiet   = flag.Bool("q", false, "suppress the summary line")
@@ -82,10 +82,10 @@ func run() error {
 		if baseImg, err = os.ReadFile(*base); err != nil {
 			return err
 		}
-		// Extract incrementally — each release patched from its predecessor —
-		// then store only what the base image cannot supply. Both halves are
-		// property-tested byte-identical to the full path, so -base changes
-		// cost, not output.
+		// Extract release by release, each reusing its predecessor's
+		// name-keyed embeddings, then store only what the base image cannot
+		// supply. Both halves are property-tested byte-identical to the full
+		// path, so -base changes cost, not output.
 		sn.PrecomputeDelta(app)
 		img, err = core.EncodeSnapshotDelta(sn, app, baseImg)
 	} else {

@@ -6,6 +6,8 @@
 package apg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,6 +41,9 @@ type Graph struct {
 	methods map[ref]*apk.Method
 	// callSites indexes invocation sites by callee (class, method).
 	callSites map[ref][]Site
+	// declared indexes every method declaration by its class, in
+	// declaration order, shadowed duplicates included.
+	declared map[string][]*apk.Method
 	// mcgOnce guards the lazy MCG structures below: no extraction phase
 	// reads them, so Build keeps them off the snapshot-rebuild critical
 	// path and the first ranking query pays the derivation once per graph.
@@ -65,6 +70,7 @@ func Build(r *apk.Release) *Graph {
 		release:   r,
 		methods:   make(map[ref]*apk.Method, methodCount),
 		callSites: make(map[ref][]Site, methodCount),
+		declared:  make(map[string][]*apk.Method, len(r.Classes)),
 	}
 	for _, c := range r.Classes {
 		for _, m := range c.Methods {
@@ -78,8 +84,28 @@ func Build(r *apk.Release) *Graph {
 				g.callSites[k] = append(g.callSites[k], Site{Method: m, StmtIdx: i})
 			}
 		}
+		g.declare(c.Methods)
 	}
 	return g
+}
+
+// declare indexes a class's method declarations under their owning class
+// names with one map write per run of methods sharing a class — the whole
+// class in well-formed IR. A run aliases the release's slice, capped so a
+// later append for the same class copies instead of writing into it.
+func (g *Graph) declare(ms []*apk.Method) {
+	for len(ms) > 0 {
+		n := 1
+		for n < len(ms) && ms[n].Class == ms[0].Class {
+			n++
+		}
+		if prev, ok := g.declared[ms[0].Class]; ok {
+			g.declared[ms[0].Class] = append(prev, ms[:n]...)
+		} else {
+			g.declared[ms[0].Class] = ms[:n:n]
+		}
+		ms = ms[n:]
+	}
 }
 
 // mcg derives the app-internal MCG edges and the class dependency relation
@@ -147,69 +173,99 @@ func (g *Graph) MethodRef(class, name string) (*apk.Method, bool) {
 // treat it as read-only.
 func (g *Graph) Methods() []*apk.Method {
 	g.methodsOnce.Do(func() {
-		out := make([]*apk.Method, 0, len(g.methods))
-		for _, m := range g.methods {
-			out = append(out, m)
+		classes := make([]string, 0, len(g.declared))
+		for c := range g.declared {
+			classes = append(classes, c)
 		}
-		sort.Slice(out, func(i, j int) bool { return qualifiedLess(out[i], out[j]) })
+		slices.SortFunc(classes, classKeyCompare)
+		out := make([]*apk.Method, 0, len(g.methods))
+		for _, c := range classes {
+			out = g.appendClassMethods(out, c)
+		}
+		// Ordering classes by name + "." orders their methods' qualified
+		// names too, unless one class name extends another past a "."
+		// ("a.b" and "a.b.c"), whose methods can interleave. The sort fixes
+		// those and costs one linear pass on already-sorted input.
+		slices.SortFunc(out, qualifiedCompare)
 		g.methodsSorted = out
 	})
 	return g.methodsSorted
 }
 
-// AdoptMethodOrder installs a pre-sorted method list as the Methods()
-// memo, skipping the O(n log n) sort — incremental rebuilds produce the
-// order by merging the previous release's sorted list with the few changed
-// methods. The list is validated cheaply (length and strict qualified-name
-// order); it must contain exactly the graph's methods. Returns false (and
-// adopts nothing) when validation fails or Methods() already materialized.
-func (g *Graph) AdoptMethodOrder(ms []*apk.Method) bool {
-	if len(ms) != len(g.methods) {
-		return false
-	}
-	for i := 1; i < len(ms); i++ {
-		if !qualifiedLess(ms[i-1], ms[i]) {
-			return false
+// DeclaredMethods returns every method declared on class in declaration
+// order, shadowed duplicate declarations included — the declarations the
+// call-site index covers. Callers must treat the slice as read-only.
+func (g *Graph) DeclaredMethods(class string) []*apk.Method { return g.declared[class] }
+
+// ClassMethods returns the class's methods in Methods() order: one per name
+// (the last declaration wins, as in MethodRef), sorted by name.
+func (g *Graph) ClassMethods(class string) []*apk.Method {
+	return g.appendClassMethods(nil, class)
+}
+
+// appendClassMethods appends ClassMethods(class) to dst.
+func (g *Graph) appendClassMethods(dst []*apk.Method, class string) []*apk.Method {
+	start := len(dst)
+	dst = append(dst, g.declared[class]...)
+	own := dst[start:]
+	byName := func(a, b *apk.Method) int { return strings.Compare(a.Name, b.Name) }
+	slices.SortFunc(own, byName)
+	if n := len(own); n > 0 {
+		own = slices.CompactFunc(own, func(a, b *apk.Method) bool { return a.Name == b.Name })
+		if len(own) < n {
+			// Duplicate declarations: keep the one the graph resolves to.
+			for i, m := range own {
+				own[i] = g.methods[ref{class, m.Name}]
+			}
 		}
 	}
-	adopted := false
-	g.methodsOnce.Do(func() {
-		g.methodsSorted = ms
-		adopted = true
-	})
-	return adopted
+	return dst[:start+len(own)]
+}
+
+// classKeyCompare orders class names as their name + "." strings compare,
+// without building them.
+func classKeyCompare(a, b string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
+		return c
+	}
+	if len(a) < len(b) {
+		return cmp.Compare('.', b[n])
+	}
+	return cmp.Compare(a[n], '.')
 }
 
 // QualifiedLess reports whether a orders before b by qualified method name
-// — the comparator behind Methods(). Exported so incremental rebuilds can
-// merge a kept sorted run with freshly sorted methods into an
-// AdoptMethodOrder-ready list.
+// — the comparator behind Methods(). Exported so a merge cursor over rows
+// emitted in Methods() order can follow a later graph's Methods().
 func QualifiedLess(a, b *apk.Method) bool { return qualifiedLess(a, b) }
 
 // qualifiedLess orders methods exactly as comparing their QualifiedName
-// strings would, without building them. The slow byte-walk only runs when
-// one class name is a proper prefix of the other (where the shorter side
-// reads "." + its method name against the rest of the longer class name).
-func qualifiedLess(a, b *apk.Method) bool {
+// strings would, without building them.
+func qualifiedLess(a, b *apk.Method) bool { return qualifiedCompare(a, b) < 0 }
+
+// qualifiedCompare three-way compares two methods' QualifiedName strings
+// without building them. The slow byte-walk only runs when one class name
+// is a proper prefix of the other (where the shorter side reads "." + its
+// method name against the rest of the longer class name).
+func qualifiedCompare(a, b *apk.Method) int {
 	ac, bc := a.Class, b.Class
 	if ac == bc {
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	}
-	n := len(ac)
-	if len(bc) < n {
-		n = len(bc)
-	}
-	if ap, bp := ac[:n], bc[:n]; ap != bp {
-		return ap < bp
+	n := min(len(ac), len(bc))
+	if c := strings.Compare(ac[:n], bc[:n]); c != 0 {
+		return c
 	}
 	if len(ac) < len(bc) {
-		return catLess([]string{".", a.Name}, []string{bc[n:], ".", b.Name})
+		return catCompare([]string{".", a.Name}, []string{bc[n:], ".", b.Name})
 	}
-	return catLess([]string{ac[n:], ".", a.Name}, []string{".", b.Name})
+	return catCompare([]string{ac[n:], ".", a.Name}, []string{".", b.Name})
 }
 
-// catLess compares the virtual concatenations of two segment lists.
-func catLess(a, b []string) bool {
+// catCompare three-way compares the virtual concatenations of two segment
+// lists.
+func catCompare(a, b []string) int {
 	var ai, aoff, bi, boff int
 	for {
 		for ai < len(a) && aoff == len(a[ai]) {
@@ -220,14 +276,16 @@ func catLess(a, b []string) bool {
 			bi++
 			boff = 0
 		}
-		if ai == len(a) {
-			return bi != len(b)
-		}
-		if bi == len(b) {
-			return false
+		switch {
+		case ai == len(a) && bi == len(b):
+			return 0
+		case ai == len(a):
+			return -1
+		case bi == len(b):
+			return 1
 		}
 		if ca, cb := a[ai][aoff], b[bi][boff]; ca != cb {
-			return ca < cb
+			return int(ca) - int(cb)
 		}
 		aoff++
 		boff++
@@ -241,35 +299,12 @@ func (g *Graph) CallSitesOf(class, method string) []Site {
 	out := make([]Site, len(sites))
 	copy(out, sites)
 	sort.Slice(out, func(i, j int) bool {
-		qi, qj := out[i].Method.QualifiedName(), out[j].Method.QualifiedName()
-		if qi != qj {
-			return qi < qj
+		mi, mj := out[i].Method, out[j].Method
+		if mi.Class != mj.Class || mi.Name != mj.Name {
+			return qualifiedLess(mi, mj)
 		}
 		return out[i].StmtIdx < out[j].StmtIdx
 	})
-	return out
-}
-
-// ClassesInvoking returns the distinct app classes with at least one
-// invocation site targeting any method of the given callee class, sorted.
-// Incremental rebuilds use it to find the classes whose framework-call
-// classification can flip when a class name appears in or vanishes from the
-// app class set.
-func (g *Graph) ClassesInvoking(calleeClass string) []string {
-	set := make(map[string]struct{})
-	for k, sites := range g.callSites {
-		if k.class != calleeClass {
-			continue
-		}
-		for _, s := range sites {
-			set[s.Class()] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -377,22 +412,6 @@ func (g *Graph) IntentSends() []IntentSend {
 	return out
 }
 
-// IntentSendsIn is IntentSends restricted to sites inside the given
-// classes — the incremental-rebuild path scans only the classes a release
-// diff touched. Site discovery walks the classes' statements directly, so
-// the per-site results (taint strings included) match what IntentSends
-// produces for those classes; only the site order differs, which the
-// aggregating caller sorts away.
-func (g *Graph) IntentSendsIn(classes []string) []IntentSend {
-	var out []IntentSend
-	g.sitesIn(classes, intentSendAPIs, func(site Site) {
-		if actions := g.BackwardStrings(site); len(actions) > 0 {
-			out = append(out, IntentSend{Actions: actions, Site: site})
-		}
-	})
-	return out
-}
-
 // ContentQuery records a content-provider access with its URI string(s).
 type ContentQuery struct {
 	URIs []string
@@ -415,28 +434,6 @@ func (g *Graph) ContentQueries() []ContentQuery {
 			out = append(out, ContentQuery{URIs: uris, Site: site})
 		}
 	}
-	return out
-}
-
-// contentResolverAPIs is contentResolverMethods in the class/method pair
-// shape the restricted site walk consumes.
-var contentResolverAPIs = func() []struct{ class, method string } {
-	out := make([]struct{ class, method string }, len(contentResolverMethods))
-	for i, m := range contentResolverMethods {
-		out[i] = struct{ class, method string }{"android.content.ContentResolver", m}
-	}
-	return out
-}()
-
-// ContentQueriesIn is ContentQueries restricted to sites inside the given
-// classes (see IntentSendsIn for the contract).
-func (g *Graph) ContentQueriesIn(classes []string) []ContentQuery {
-	var out []ContentQuery
-	g.sitesIn(classes, contentResolverAPIs, func(site Site) {
-		if uris := g.BackwardStrings(site); len(uris) > 0 {
-			out = append(out, ContentQuery{URIs: uris, Site: site})
-		}
-	})
 	return out
 }
 
@@ -473,45 +470,6 @@ func (g *Graph) ErrorMessages() []MessageSite {
 	return out
 }
 
-// ErrorMessagesIn is ErrorMessages restricted to sites inside the given
-// classes (see IntentSendsIn for the contract).
-func (g *Graph) ErrorMessagesIn(classes []string) []MessageSite {
-	var out []MessageSite
-	g.sitesIn(classes, errorMessageAPIs, func(site Site) {
-		if texts := g.BackwardStrings(site); len(texts) > 0 {
-			out = append(out, MessageSite{Texts: texts, Site: site})
-		}
-	})
-	return out
-}
-
-// sitesIn walks the statements of the given classes (by name, in the given
-// order) and yields every invocation site targeting one of the APIs. It
-// visits every declared method — including shadowed duplicates — exactly
-// like the callSites index the unrestricted queries read.
-func (g *Graph) sitesIn(classes []string, apis []struct{ class, method string }, yield func(Site)) {
-	for _, cn := range classes {
-		c, ok := g.release.FindClass(cn)
-		if !ok {
-			continue
-		}
-		for _, m := range c.Methods {
-			for i := range m.Statements {
-				st := &m.Statements[i]
-				if st.Op != apk.OpInvoke {
-					continue
-				}
-				for _, api := range apis {
-					if st.InvokeClass == api.class && st.InvokeMethod == api.method {
-						yield(Site{Method: m, StmtIdx: i})
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
 // ExceptionSite records a throw or catch of an exception type.
 type ExceptionSite struct {
 	Exception string
@@ -539,58 +497,14 @@ func (g *Graph) ExceptionSites() []ExceptionSite {
 	return out
 }
 
-// FrameworkCalls returns every invocation site whose callee class is not an
-// app class — the API usage inventory of §3.3.2.
-func (g *Graph) FrameworkCalls() []Site {
-	appClasses := make(map[string]struct{}, len(g.release.Classes))
-	for _, c := range g.release.Classes {
-		appClasses[c.Name] = struct{}{}
-	}
-	var out []Site
-	for _, c := range g.release.Classes {
-		for _, m := range c.Methods {
-			for i := range m.Statements {
-				st := &m.Statements[i]
-				if st.Op != apk.OpInvoke {
-					continue
-				}
-				if _, isApp := appClasses[st.InvokeClass]; isApp {
-					continue
-				}
-				out = append(out, Site{Method: m, StmtIdx: i})
-			}
+// FrameworkCallees calls yield once per distinct framework callee — an
+// invoked (class, method) whose class is not an app class — with its
+// invocation sites in build order: the API usage inventory of §3.3.2. The
+// callee order is unspecified; sites must be treated as read-only.
+func (g *Graph) FrameworkCallees(yield func(class, method string, sites []Site)) {
+	for k, sites := range g.callSites {
+		if _, isApp := g.release.FindClass(k.class); !isApp {
+			yield(k.class, k.method, sites)
 		}
 	}
-	return out
-}
-
-// FrameworkCallsIn is FrameworkCalls restricted to sites inside the given
-// classes. The app/framework classification still uses the full class set
-// of this graph's release, so the per-site decisions match FrameworkCalls
-// exactly; only the covered classes differ.
-func (g *Graph) FrameworkCallsIn(classes []string) []Site {
-	appClasses := make(map[string]struct{}, len(g.release.Classes))
-	for _, c := range g.release.Classes {
-		appClasses[c.Name] = struct{}{}
-	}
-	var out []Site
-	for _, cn := range classes {
-		c, ok := g.release.FindClass(cn)
-		if !ok {
-			continue
-		}
-		for _, m := range c.Methods {
-			for i := range m.Statements {
-				st := &m.Statements[i]
-				if st.Op != apk.OpInvoke {
-					continue
-				}
-				if _, isApp := appClasses[st.InvokeClass]; isApp {
-					continue
-				}
-				out = append(out, Site{Method: m, StmtIdx: i})
-			}
-		}
-	}
-	return out
 }

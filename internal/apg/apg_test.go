@@ -2,6 +2,7 @@ package apg
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -151,9 +152,58 @@ func TestClassDependencyCount(t *testing.T) {
 	}
 }
 
+// TestMethodsOrderAcrossPrefixClasses pins Methods() to the qualified-name
+// string order on class names that prefix one another — "Foo" against
+// "Foo$Inner" ('$' sorts before '.') and "a.b" against "a.b.c", whose
+// methods interleave — and ClassMethods() to that order restricted to one
+// class, with the last of duplicate declarations winning.
+func TestMethodsOrderAcrossPrefixClasses(t *testing.T) {
+	b := apk.NewBuilder("com.order", "Order")
+	b.Release("1.0", 1, time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+	b.Class("a.b").Method("z").Method("a").Method("z", apk.Return())
+	b.Class("a.b.c").Method("m")
+	b.Class("a.b-x").Method("q")
+	b.Class("Foo").Method("bar")
+	b.Class("Foo$Inner").Method("baz")
+	r := b.Build().Latest()
+	g := Build(r)
+
+	var got, want []string
+	for _, m := range g.Methods() {
+		got = append(got, m.QualifiedName())
+	}
+	for _, c := range r.Classes {
+		for _, m := range c.Methods {
+			if w, _ := g.MethodRef(m.Class, m.Name); w == m {
+				want = append(want, m.QualifiedName())
+			}
+		}
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Methods() = %q, want %q", got, want)
+	}
+
+	ms := g.ClassMethods("a.b")
+	if len(ms) != 2 || ms[0].Name != "a" || ms[1].Name != "z" || len(ms[1].Statements) != 1 {
+		t.Fatalf("ClassMethods(a.b) = %v, want a and the last z", ms)
+	}
+	if n := len(g.DeclaredMethods("a.b")); n != 3 {
+		t.Fatalf("DeclaredMethods(a.b) has %d declarations, want 3", n)
+	}
+}
+
 func TestFrameworkCalls(t *testing.T) {
 	g := Build(testRelease())
-	calls := g.FrameworkCalls()
+	var calls []Site
+	g.FrameworkCallees(func(class, method string, sites []Site) {
+		for _, s := range sites {
+			if st := s.Statement(); st.InvokeClass != class || st.InvokeMethod != method {
+				t.Errorf("site of %s.%s invokes %s.%s", class, method, st.InvokeClass, st.InvokeMethod)
+			}
+		}
+		calls = append(calls, sites...)
+	})
 	// Toast.makeText, SmsManager.sendTextMessage, Activity.startActivityForResult,
 	// ContentResolver.query — the app-internal Mailer.sendAll call is excluded.
 	if len(calls) != 4 {

@@ -89,15 +89,21 @@ func NewWithSnapshot(sn *Snapshot, opts ...Option) *Solver {
 // StaticFor returns the §3.3 extraction for a release, computing it exactly
 // once per release across all sharers. Safe for concurrent use.
 func (sn *Snapshot) StaticFor(r *apk.Release) *StaticInfo {
+	e := sn.entry(r)
+	e.once.Do(func() { e.info = sn.solver.ExtractStatic(r) })
+	return e.info
+}
+
+// entry returns the single-flight slot of a release, creating it if needed.
+func (sn *Snapshot) entry(r *apk.Release) *staticEntry {
 	sn.mu.Lock()
+	defer sn.mu.Unlock()
 	e := sn.static[r]
 	if e == nil {
 		e = &staticEntry{}
 		sn.static[r] = e
 	}
-	sn.mu.Unlock()
-	e.once.Do(func() { e.info = sn.solver.ExtractStatic(r) })
-	return e.info
+	return e
 }
 
 // Precompute eagerly extracts the static information of the given releases,

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -142,6 +143,17 @@ type invisibleRef struct {
 
 // ExtractStatic runs the §3.3.2 extraction over one release.
 func (s *Solver) ExtractStatic(r *apk.Release) *StaticInfo {
+	info, _ := s.extractStatic(nil, r)
+	return info
+}
+
+// extractStatic is the one extraction path. When prev (an earlier release's
+// extraction by the same solver) is non-nil, the method name-phrase rows and
+// API phrase embeddings it holds are reused by name instead of re-embedded:
+// both are pure functions of (class, method name) or the API key, so the
+// result is identical either way. It returns the number of reused method
+// rows.
+func (s *Solver) extractStatic(prev *StaticInfo, r *apk.Release) (*StaticInfo, int) {
 	g := apg.Build(r)
 	info := &StaticInfo{
 		Release:     r,
@@ -153,14 +165,19 @@ func (s *Solver) ExtractStatic(r *apk.Release) *StaticInfo {
 	if act, ok := r.StartingActivity(); ok {
 		info.StartingActivity = act.Name
 	}
-	info.extractAPIs(s, g)
+	var prevAPIs []APIUse
+	var prevPhrases []MethodPhrase
+	if prev != nil {
+		prevAPIs, prevPhrases = prev.APIs, prev.MethodPhrases
+	}
+	info.extractAPIs(s, g, prevAPIs)
 	info.extractURIs(s, g)
 	info.extractIntents(s, g)
 	info.extractMessages(g)
-	info.extractMethodPhrases(s, g)
+	reused := info.extractMethodPhrases(s, g, prevPhrases)
 	info.embedInvisibleLabels(s)
 	info.buildScanState(s)
-	return info
+	return info, reused
 }
 
 // buildScanState flattens the extracted embeddings into the contiguous
@@ -200,7 +217,7 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 
 // buildMatrices flattens the method-phrase vectors and the non-empty
 // widget-id vectors (in nested GUI×widget order, recorded in invisibleRows)
-// into the two scan matrices. Full and incremental extraction share it.
+// into the two scan matrices.
 func (info *StaticInfo) buildMatrices() {
 	info.methodMatrix = wordvec.NewMatrix(len(info.MethodPhrases))
 	for i := range info.MethodPhrases {
@@ -239,27 +256,33 @@ func (info *StaticInfo) embedInvisibleLabels(s *Solver) {
 
 // extractAPIs inventories the framework APIs the app calls, with their
 // describing phrases (§4.2.1: signature phrase, description phrases,
-// permission nouns).
-func (info *StaticInfo) extractAPIs(s *Solver, g *apg.Graph) {
+// permission nouns). The phrases of an API found in prev (a sorted earlier
+// inventory) are shared rather than re-embedded.
+func (info *StaticInfo) extractAPIs(s *Solver, g *apg.Graph, prev []APIUse) {
 	type agg struct {
 		api     sdk.API
-		classes map[string]struct{}
+		classes []string
 	}
 	uses := make(map[string]*agg)
-	for _, site := range g.FrameworkCalls() {
-		st := site.Statement()
-		api, ok := s.catalog.LookupAPI(st.InvokeClass, st.InvokeMethod)
+	g.FrameworkCallees(func(class, method string, sites []apg.Site) {
+		api, ok := s.catalog.LookupAPI(class, method)
 		if !ok {
-			continue
+			return
 		}
-		key := api.Class + "." + api.Method
+		key := apiKey(api)
 		a, exists := uses[key]
 		if !exists {
-			a = &agg{api: api, classes: make(map[string]struct{})}
+			a = &agg{api: api}
 			uses[key] = a
 		}
-		a.classes[site.Class()] = struct{}{}
-	}
+		for _, site := range sites {
+			// Sites arrive grouped by method, so skipping repeats of the
+			// last class keeps the list near its deduplicated size.
+			if n := len(a.classes); n == 0 || a.classes[n-1] != site.Class() {
+				a.classes = append(a.classes, site.Class())
+			}
+		}
+	})
 	keys := make([]string, 0, len(uses))
 	for k := range uses {
 		keys = append(keys, k)
@@ -268,14 +291,31 @@ func (info *StaticInfo) extractAPIs(s *Solver, g *apg.Graph) {
 	info.apiClasses = make(map[string][]string, len(keys))
 	for _, k := range keys {
 		a := uses[k]
-		use := APIUse{API: a.api, Classes: sortedKeys(a.classes)}
-		for _, phrase := range apiPhrases(a.api) {
-			use.Phrases = append(use.Phrases, phrase)
-			use.PhraseVecs = append(use.PhraseVecs, s.vec.PhraseVector(phrase))
+		slices.Sort(a.classes)
+		use := APIUse{API: a.api, Classes: slices.Clip(slices.Compact(a.classes))}
+		if p, ok := findAPI(prev, k); ok {
+			use.Phrases, use.PhraseVecs = p.Phrases, p.PhraseVecs
+		} else {
+			for _, phrase := range apiPhrases(a.api) {
+				use.Phrases = append(use.Phrases, phrase)
+				use.PhraseVecs = append(use.PhraseVecs, s.vec.PhraseVector(phrase))
+			}
 		}
 		info.APIs = append(info.APIs, use)
 		info.apiClasses[k] = use.Classes
 	}
+}
+
+// apiKey is the "class.method" key an API inventory is sorted by.
+func apiKey(api sdk.API) string { return api.Class + "." + api.Method }
+
+// findAPI looks up the entry with key k in an inventory sorted by key.
+func findAPI(inv []APIUse, k string) (*APIUse, bool) {
+	i := sort.Search(len(inv), func(i int) bool { return apiKey(inv[i].API) >= k })
+	if i < len(inv) && apiKey(inv[i].API) == k {
+		return &inv[i], true
+	}
+	return nil, false
 }
 
 // APIClasses returns the app classes invoking the given framework API.
@@ -448,20 +488,46 @@ func (info *StaticInfo) extractMessages(g *apg.Graph) {
 
 // extractMethodPhrases converts method names into verb phrases (§4.1.1) and
 // adds code-summarization phrases for methods whose names are meaningless.
-func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph) {
-	for _, m := range g.Methods() {
-		phrase := methodNamePhrase(m.Name, shortClassName(m.Class))
-		if len(phrase) > 0 {
-			info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
-				Method: m,
-				Words:  phrase,
-				Vec:    s.vec.PhraseVector(phrase),
-			})
+// A method's name-phrase row is taken from prev (an earlier extraction's
+// rows) when prev holds the same (class, method name); it returns how many
+// rows were reused.
+//
+// prev was emitted in its own graph's Methods() order — the qualified-name
+// order g.Methods() follows, with a method's one or two rows adjacent — so a
+// single merge cursor finds each method's previous rows: entries ordered
+// before the current method belong to methods that are gone and are skipped.
+func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph, prev []MethodPhrase) (reused int) {
+	ms := g.Methods()
+	info.MethodPhrases = make([]MethodPhrase, 0, len(ms))
+	pi := 0
+	for _, m := range ms {
+		for pi < len(prev) && apg.QualifiedLess(prev[pi].Method, m) {
+			pi++
+		}
+		known, named := false, false
+		for ; pi < len(prev) && prev[pi].Method.Class == m.Class && prev[pi].Method.Name == m.Name; pi++ {
+			known = true
+			if !prev[pi].FromSummary {
+				info.MethodPhrases = append(info.MethodPhrases, prev[pi])
+				info.MethodPhrases[len(info.MethodPhrases)-1].Method = m
+				named = true
+				reused++
+			}
+		}
+		if !known {
+			if phrase := methodNamePhrase(m.Name, shortClassName(m.Class)); len(phrase) > 0 {
+				info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
+					Method: m,
+					Words:  phrase,
+					Vec:    s.vec.PhraseVector(phrase),
+				})
+				named = true
+			}
 		}
 		// Summarization: when the raw name is meaningless (obfuscated) or
 		// the summarizer is trained, add the predicted word bag as a
-		// second phrase.
-		if s.summarizer != nil && (len(phrase) == 0 || s.summarizeAll) {
+		// second phrase. It reads the method body, so it is never reused.
+		if s.summarizer != nil && (!named || s.summarizeAll) {
 			if words := s.summarizer.Predict(m, 3); len(words) > 0 {
 				info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
 					Method:      m,
@@ -472,6 +538,7 @@ func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph) {
 			}
 		}
 	}
+	return reused
 }
 
 // methodNamePhrase converts a method name to a verb phrase per §4.1.1:

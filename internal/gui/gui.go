@@ -82,18 +82,14 @@ var dynamicTextAPIs = []struct{ class, method string }{
 func Recover(r *apk.Release, g *apg.Graph) []ActivityGUI {
 	out := make([]ActivityGUI, 0, len(r.Manifest.Activities))
 	for _, decl := range r.Manifest.Activities {
-		out = append(out, RecoverActivity(r, g, decl))
+		out = append(out, recoverActivity(r, g, decl))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Activity < out[j].Activity })
 	return out
 }
 
-// RecoverActivity reconstructs the GUI of a single declared activity —
-// Recover's per-declaration step, exported so incremental rebuilds can
-// re-run it for just the activities a release diff touched. The result is
-// identical to the corresponding element Recover produces for the same
-// release and graph.
-func RecoverActivity(r *apk.Release, g *apg.Graph, decl apk.ActivityDecl) ActivityGUI {
+// recoverActivity reconstructs the GUI of a single declared activity.
+func recoverActivity(r *apk.Release, g *apg.Graph, decl apk.ActivityDecl) ActivityGUI {
 	a := ActivityGUI{Activity: decl.Name, LayoutID: decl.LayoutID}
 	if layout, ok := r.LayoutByID(decl.LayoutID); ok {
 		layout.Root.Walk(func(w *apk.Widget) {
@@ -120,30 +116,39 @@ func RecoverActivity(r *apk.Release, g *apg.Graph, decl apk.ActivityDecl) Activi
 }
 
 // dynamicTexts collects const-strings flowing into text setters from
-// methods of the activity class.
+// methods of the activity class. Like the call-site index, it visits every
+// declaration, shadowed duplicates included; the sort makes the visit order
+// irrelevant.
 func dynamicTexts(g *apg.Graph, activity string) []string {
 	var out []string
-	for _, api := range dynamicTextAPIs {
-		for _, site := range g.CallSitesOf(api.class, api.method) {
-			if site.Class() != activity {
-				continue
+	for _, m := range g.DeclaredMethods(activity) {
+		for i := range m.Statements {
+			st := &m.Statements[i]
+			if st.Op == apk.OpInvoke && isDynamicTextAPI(st.InvokeClass, st.InvokeMethod) {
+				out = append(out, g.BackwardStrings(apg.Site{Method: m, StmtIdx: i})...)
 			}
-			out = append(out, g.BackwardStrings(site)...)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
+func isDynamicTextAPI(class, method string) bool {
+	for _, api := range dynamicTextAPIs {
+		if api.class == class && api.method == method {
+			return true
+		}
+	}
+	return false
+}
+
 // dynamicWidgets infers widgets the activity creates in code (GATOR's
 // constraint-graph inference): `new android.widget.Button` allocations whose
 // local variable name doubles as the widget's invisible label
-// ("quotedTextEdit" → quoted text edit).
+// ("quotedTextEdit" → quoted text edit). Methods are walked in Methods()
+// order, one per name (the last declaration wins).
 func dynamicWidgets(g *apg.Graph, activity string) (ids []string, words [][]string) {
-	for _, m := range g.Methods() {
-		if m.Class != activity {
-			continue
-		}
+	for _, m := range g.ClassMethods(activity) {
 		for _, st := range m.Statements {
 			if st.Op != apk.OpNew || st.Def == "" {
 				continue

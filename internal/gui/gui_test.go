@@ -188,3 +188,41 @@ func TestRecoverSortedAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateMethodDeclarations pins how code-side recovery treats a
+// method declared twice on the activity: dynamic texts come from every
+// declaration (as the call-site index sees them), while dynamic widgets
+// come from the winning (last) declaration only, walked in method-name
+// order.
+func TestDuplicateMethodDeclarations(t *testing.T) {
+	b := apk.NewBuilder("com.dup", "Dup")
+	b.Release("1.0", 1, time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+	b.LauncherActivity("com.dup.MainActivity", "main")
+	b.Layout("main", apk.Widget{Type: "LinearLayout"})
+	b.Class("com.dup.MainActivity").
+		Method("setup",
+			apk.ConstString("t", "Shadowed text"),
+			apk.Invoke("", "android.widget.TextView", "setText", "t"),
+			apk.NewObj("shadowBtn", "android.widget.Button")).
+		Method("init",
+			apk.NewObj("firstEdit", "android.widget.EditText")).
+		Method("setup",
+			apk.ConstString("t", "Live text"),
+			apk.Invoke("", "android.widget.TextView", "setText", "t"),
+			apk.NewObj("liveBtn", "android.widget.Button"))
+	b.Class("com.dup.Other").
+		Method("setup",
+			apk.ConstString("t", "Other text"),
+			apk.Invoke("", "android.widget.TextView", "setText", "t"),
+			apk.NewObj("otherBtn", "android.widget.Button"))
+	r := b.Build().Latest()
+	g := apg.Build(r)
+
+	if got, want := dynamicTexts(g, "com.dup.MainActivity"), []string{"Live text", "Shadowed text"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dynamic texts = %q, want %q", got, want)
+	}
+	ids, _ := dynamicWidgets(g, "com.dup.MainActivity")
+	if want := []string{"firstEdit", "liveBtn"}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("dynamic widgets = %q, want %q", ids, want)
+	}
+}

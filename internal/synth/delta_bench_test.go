@@ -7,20 +7,18 @@ import (
 	"reviewsolver/internal/synth"
 )
 
-// deltaBenchCopies pads the sample app to serve scale (~400 classes): real
+// deltaBenchCopies pads the sample app to serve scale (~280 classes): real
 // APKs carry hundreds of vendored/generated classes a version bump never
-// touches, and that untouched bulk is exactly what the delta path gets to
-// skip. The diff between the last two releases stays the size the real
-// cadence produces (InflateApp freezes the padding across releases).
+// touches, and that untouched bulk is what the reuse path gets to skip
+// re-embedding. The diff between the last two releases stays the size the
+// real cadence produces (InflateApp freezes the padding across releases).
 const deltaBenchCopies = 16
 
 // BenchmarkDeltaRebuild measures the release-cadence rebuild: when a new
 // version ships, the serving snapshot needs the latest release's §3.3
-// static extraction. "full" is the from-scratch path every version bump
-// previously paid; "delta" patches the predecessor's extraction through the
-// structural diff (core.ExtractStaticDelta), which is property-tested to
-// localize byte-identically. The ratio between the two is the headline
-// number in bench/BENCH_DELTA.json.
+// static extraction. "cold" is a from-scratch ExtractStatic; "reuse" is
+// core.ExtractStaticDelta, the same extraction taking the predecessor's
+// name-keyed method and API embeddings instead of re-embedding them.
 func BenchmarkDeltaRebuild(b *testing.B) {
 	app := synth.InflateApp(synth.GenerateSample(1).App, deltaBenchCopies)
 	n := len(app.Releases)
@@ -31,21 +29,17 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 	s := core.New()
 	prev := s.StaticFor(prevR)
 
-	b.Run("full", func(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if s.ExtractStatic(lastR) == nil {
 				b.Fatal("nil extraction")
 			}
 		}
 	})
-	b.Run("delta", func(b *testing.B) {
+	b.Run("reuse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			info, st := s.ExtractStaticDelta(prev, lastR)
-			if info == nil {
+			if info, _ := s.ExtractStaticDelta(prev, lastR); info == nil {
 				b.Fatal("nil extraction")
-			}
-			if st.Full {
-				b.Fatalf("delta fell back to full: %s", st.Reason)
 			}
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // from the first release and shared by every release, so cross-release
 // diffs stay exactly the size the real cadence produces, and their
 // invocation edges are rewritten into the clone's own namespace (a closed
-// world), so they never couple to the live diff through call-graph hazards.
+// world), so they never call into the live classes.
 //
 // Manifest, layouts, and string resources are shared untouched: padding
 // adds method-phrase and inventory rows, not activities. The same input
