@@ -28,7 +28,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/qa/...
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test skip it. Format-check, vet and self-test it against the
@@ -90,13 +90,15 @@ delta-smoke:
 
 # Short fuzz runs over the hostile-input surfaces: the snapshot container
 # decoder, the full snapshot loader, and the delta-section decoder. All must
-# return typed errors, never panic. (The committed seed corpora live under
-# */testdata/fuzz/.)
+# return typed errors, never panic. FuzzTopAPIs checks the Q&A postings
+# index against the linear-scan oracle. (The committed seed corpora live
+# under */testdata/fuzz/.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotDeltaImages -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
 
 # Compile (and verify) the snapshot of one built-in app. Override with e.g.
 #   make snapshot SNAPAPP=org.wordpress.android SNAPOUT=wp.snap

@@ -5,7 +5,9 @@
 package reviewsolver
 
 import (
+	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"reviewsolver/internal/sentiment"
 	"reviewsolver/internal/synth"
 	"reviewsolver/internal/textclass"
+	"reviewsolver/internal/textproc"
 	"reviewsolver/internal/wordvec"
 )
 
@@ -213,13 +216,57 @@ func BenchmarkSentimentSentiStrength(b *testing.B) {
 	}
 }
 
+// qaPhrases is a seeded mix of one- to three-word lookups over the Q&A title
+// vocabulary, inflected variants, stopwords and unknown words, so the
+// benchmark covers empty, narrow and broad title matches alike.
+func qaPhrases(corpus []qa.Question, n int) [][]string {
+	set := make(map[string]struct{})
+	for _, q := range corpus {
+		for _, w := range textproc.Words(q.Title) {
+			set[w] = struct{}{}
+		}
+	}
+	vocab := make([]string, 0, len(set))
+	for w := range set {
+		vocab = append(vocab, w)
+	}
+	sort.Strings(vocab)
+	vocab = append(vocab, "downloading", "files", "crashed", "the", "it", "zzz")
+	rng := rand.New(rand.NewSource(1))
+	out := make([][]string, n)
+	for i := range out {
+		phrase := make([]string, 1+rng.Intn(3))
+		for j := range phrase {
+			phrase[j] = vocab[rng.Intn(len(vocab))]
+		}
+		out[i] = phrase
+	}
+	return out
+}
+
+var qaSink []qa.APIRef
+
 func BenchmarkQATopAPIs(b *testing.B) {
 	catalog := sdk.NewCatalog()
-	idx := qa.NewIndex(catalog, qa.GenerateCorpus(catalog))
-	phrase := []string{"download", "file"}
+	corpus := qa.GenerateCorpus(catalog)
+	idx := qa.NewIndex(catalog, corpus)
+	phrases := qaPhrases(corpus, 1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.TopAPIs(phrase, 5)
+		qaSink = idx.TopAPIs(phrases[i%len(phrases)], 5)
+	}
+}
+
+var qaIndexSink *qa.Index
+
+func BenchmarkQANewIndex(b *testing.B) {
+	catalog := sdk.NewCatalog()
+	corpus := qa.GenerateCorpus(catalog)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qaIndexSink = qa.NewIndex(catalog, corpus)
 	}
 }
 

@@ -40,14 +40,15 @@ if [ -n "$out" ]; then
 fi
 (cd perfbench && go vet ./... && go test ./...)
 
-step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/..."
-go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/...
+step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/qa/..."
+go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/qa/...
 
-step "fuzz smoke (snapfile decode + snapshot load + delta decode + event journal codec: typed errors, no panics)"
+step "fuzz smoke (snapfile decode + snapshot load + delta decode + event journal codec: typed errors, no panics; Q&A index against its scan oracle)"
 go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
 go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzLoadSnapshotDeltaImages -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
+go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
 
 # One temp dir holds the compiled snapshot artifact shared by the
 # determinism, benchgate and smoke steps below; removed on any exit.

@@ -11,7 +11,7 @@
 package qa
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"reviewsolver/internal/sdk"
@@ -42,7 +42,12 @@ func (r APIRef) Key() string { return r.Class + "." + r.Method }
 // receiver variables to classes, and resolves short class names against the
 // SDK catalog.
 func ParseSnippet(snippet string, catalog *sdk.Catalog) []APIRef {
-	shortToFull := shortClassIndex(catalog)
+	return parseSnippet(snippet, catalog, shortClassIndex(catalog))
+}
+
+// parseSnippet is ParseSnippet over a prebuilt shortClassIndex(catalog), so
+// NewIndex builds the short-name map once rather than once per snippet.
+func parseSnippet(snippet string, catalog *sdk.Catalog, shortToFull map[string]string) []APIRef {
 	varType := make(map[string]string)
 	var out []APIRef
 	seen := make(map[string]struct{})
@@ -171,39 +176,74 @@ func isIdentChar(c byte) bool {
 
 func isUpperStart(s string) bool { return s != "" && s[0] >= 'A' && s[0] <= 'Z' }
 
-// Index is the Algorithm 2 lookup structure: question titles with their
-// extracted framework APIs.
+// Index is the Algorithm 2 lookup structure: an inverted index from title
+// stems to questions, and each question's extracted framework APIs.
 type Index struct {
-	catalog   *sdk.Catalog
-	questions []indexedQuestion
+	// postings maps a title-word stem to the ascending IDs of the
+	// questions whose titles contain a word with that stem.
+	postings map[string][]int32
+	// questions holds each question's API IDs, one entry per question.
+	questions [][]int32
+	// apis maps an API ID to its ref; IDs ascend with Key(), so ordering
+	// by ID breaks frequency ties exactly as ordering by key does.
+	apis []APIRef
 }
 
-type indexedQuestion struct {
-	titleWords map[string]struct{}
-	apis       []APIRef
-}
-
-// NewIndex parses every question's snippets and builds the index.
+// NewIndex parses every question's snippets and builds the index. Questions
+// whose snippets call no known framework API are left out.
 func NewIndex(catalog *sdk.Catalog, questions []Question) *Index {
-	idx := &Index{catalog: catalog}
+	shortToFull := shortClassIndex(catalog)
+	idx := &Index{postings: make(map[string][]int32)}
+	byKey := make(map[string]APIRef)
+	var apiKeys [][]string // per indexed question: its distinct API keys
 	for _, q := range questions {
-		iq := indexedQuestion{titleWords: make(map[string]struct{})}
-		for _, w := range textproc.Words(q.Title) {
-			iq.titleWords[w] = struct{}{}
-		}
+		var keys []string
 		seen := make(map[string]struct{})
 		for _, sn := range q.Snippets {
-			for _, ref := range ParseSnippet(sn, catalog) {
-				if _, dup := seen[ref.Key()]; dup {
+			for _, ref := range parseSnippet(sn, catalog, shortToFull) {
+				key := ref.Key()
+				if _, dup := seen[key]; dup {
 					continue
 				}
-				seen[ref.Key()] = struct{}{}
-				iq.apis = append(iq.apis, ref)
+				seen[key] = struct{}{}
+				byKey[key] = ref
+				keys = append(keys, key)
 			}
 		}
-		if len(iq.apis) > 0 {
-			idx.questions = append(idx.questions, iq)
+		if len(keys) == 0 {
+			continue
 		}
+		qid := int32(len(apiKeys))
+		apiKeys = append(apiKeys, keys)
+		for _, w := range textproc.Words(q.Title) {
+			st := stem(w)
+			p := idx.postings[st]
+			// Question IDs arrive in ascending order, so a repeated stem
+			// in one title can only repeat the last entry.
+			if n := len(p); n == 0 || p[n-1] != qid {
+				idx.postings[st] = append(p, qid)
+			}
+		}
+	}
+
+	sorted := make([]string, 0, len(byKey))
+	for key := range byKey {
+		sorted = append(sorted, key)
+	}
+	slices.Sort(sorted)
+	idx.apis = make([]APIRef, len(sorted))
+	apiID := make(map[string]int32, len(sorted))
+	for id, key := range sorted {
+		apiID[key] = int32(id)
+		idx.apis[id] = byKey[key]
+	}
+	idx.questions = make([][]int32, len(apiKeys))
+	for qid, keys := range apiKeys {
+		ids := make([]int32, len(keys))
+		for i, key := range keys {
+			ids[i] = apiID[key]
+		}
+		idx.questions[qid] = ids
 	}
 	return idx
 }
@@ -213,72 +253,87 @@ func (x *Index) Len() int { return len(x.questions) }
 
 // TopAPIs implements Algorithm 2: find the questions whose titles contain
 // the verb phrase's words, count the framework APIs in their snippets, and
-// return the k most frequent APIs (the paper sets k = 5).
+// return the k most frequent APIs (the paper sets k = 5), ties broken by
+// ascending Key.
 func (x *Index) TopAPIs(verbPhrase []string, k int) []APIRef {
 	if len(verbPhrase) == 0 || k <= 0 {
 		return nil
 	}
-	counts := make(map[string]int)
-	byKey := make(map[string]APIRef)
-	for _, q := range x.questions {
-		if !titleContains(q.titleWords, verbPhrase) {
-			continue
-		}
-		for _, ref := range q.apis {
-			counts[ref.Key()]++
-			byKey[ref.Key()] = ref
+	counts := make([]int32, len(x.apis))
+	var hit []int32 // API IDs with a non-zero count, in first-seen order
+	for _, q := range x.matches(verbPhrase) {
+		for _, a := range x.questions[q] {
+			if counts[a] == 0 {
+				hit = append(hit, a)
+			}
+			counts[a]++
 		}
 	}
-	if len(counts) == 0 {
+	if len(hit) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(counts))
-	for key := range counts {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
+	slices.SortFunc(hit, func(a, b int32) int {
+		if counts[a] != counts[b] {
+			return int(counts[b] - counts[a])
 		}
-		return keys[i] < keys[j]
+		return int(a - b)
 	})
-	if k > len(keys) {
-		k = len(keys)
-	}
-	out := make([]APIRef, k)
-	for i := 0; i < k; i++ {
-		out[i] = byKey[keys[i]]
+	out := make([]APIRef, min(k, len(hit)))
+	for i := range out {
+		out[i] = x.apis[hit[i]]
 	}
 	return out
 }
 
-// titleContains reports whether every content word of the phrase appears in
-// the title (§4.2.2: "identify the questions whose titles contain the same
-// verb phrase"). Inflection differences are tolerated via shared stems.
-func titleContains(title map[string]struct{}, phrase []string) bool {
+// matches returns the ascending IDs of the questions whose titles contain
+// the phrase (§4.2.2: "identify the questions whose titles contain the same
+// verb phrase"): every non-stopword phrase word must share its stem with a
+// title word, which tolerates inflection differences. A phrase of stopwords
+// alone matches every question.
+func (x *Index) matches(phrase []string) []int32 {
+	var ids []int32
+	narrowed := false
 	for _, w := range phrase {
 		if textproc.IsStopword(w) {
 			continue
 		}
-		if _, ok := title[w]; ok {
-			continue
-		}
-		matched := false
-		for tw := range title {
-			if sameStem(tw, w) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return false
+		p := x.postings[stem(w)]
+		switch {
+		case len(p) == 0:
+			return nil
+		case narrowed:
+			ids = intersect(ids, p)
+		default:
+			ids, narrowed = p, true
 		}
 	}
-	return true
+	if !narrowed {
+		ids = make([]int32, len(x.questions))
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+	}
+	return ids
 }
 
-func sameStem(a, b string) bool {
-	return stem(a) == stem(b)
+// intersect returns the IDs present in both ascending lists, in a new slice
+// (a and b may be postings, which are never written).
+func intersect(a, b []int32) []int32 {
+	out := make([]int32, 0, min(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
 }
 
 func stem(w string) string {

@@ -1,10 +1,15 @@
 package qa
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"reviewsolver/internal/sdk"
+	"reviewsolver/internal/textproc"
 )
 
 func TestParseSnippet(t *testing.T) {
@@ -127,4 +132,210 @@ func TestTaskCount(t *testing.T) {
 	if TaskCount() < 20 {
 		t.Errorf("only %d task templates", TaskCount())
 	}
+}
+
+// scanIndex is the linear-scan Algorithm 2 the postings index replaced,
+// kept as the oracle TopAPIs must match: every lookup checks every question
+// and re-stems every title word against every phrase word.
+type scanIndex struct {
+	questions []scanQuestion
+}
+
+type scanQuestion struct {
+	titleWords map[string]struct{}
+	apis       []APIRef
+}
+
+func newScanIndex(catalog *sdk.Catalog, questions []Question) *scanIndex {
+	idx := &scanIndex{}
+	for _, q := range questions {
+		sq := scanQuestion{titleWords: make(map[string]struct{})}
+		for _, w := range textproc.Words(q.Title) {
+			sq.titleWords[w] = struct{}{}
+		}
+		seen := make(map[string]struct{})
+		for _, sn := range q.Snippets {
+			for _, ref := range ParseSnippet(sn, catalog) {
+				if _, dup := seen[ref.Key()]; dup {
+					continue
+				}
+				seen[ref.Key()] = struct{}{}
+				sq.apis = append(sq.apis, ref)
+			}
+		}
+		if len(sq.apis) > 0 {
+			idx.questions = append(idx.questions, sq)
+		}
+	}
+	return idx
+}
+
+func (x *scanIndex) TopAPIs(verbPhrase []string, k int) []APIRef {
+	if len(verbPhrase) == 0 || k <= 0 {
+		return nil
+	}
+	counts := make(map[string]int)
+	byKey := make(map[string]APIRef)
+	for _, q := range x.questions {
+		if !titleContains(q.titleWords, verbPhrase) {
+			continue
+		}
+		for _, ref := range q.apis {
+			counts[ref.Key()]++
+			byKey[ref.Key()] = ref
+		}
+	}
+	if len(counts) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(counts))
+	for key := range counts {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if counts[keys[i]] != counts[keys[j]] {
+			return counts[keys[i]] > counts[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	if k > len(keys) {
+		k = len(keys)
+	}
+	out := make([]APIRef, k)
+	for i := 0; i < k; i++ {
+		out[i] = byKey[keys[i]]
+	}
+	return out
+}
+
+func titleContains(title map[string]struct{}, phrase []string) bool {
+	for _, w := range phrase {
+		if textproc.IsStopword(w) {
+			continue
+		}
+		if _, ok := title[w]; ok {
+			continue
+		}
+		matched := false
+		for tw := range title {
+			if stem(tw) == stem(w) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleFixture builds the postings index and the scan oracle over the
+// generated corpus, plus the corpus's distinct title words in sorted order.
+func oracleFixture(tb testing.TB) (*Index, *scanIndex, []string) {
+	tb.Helper()
+	catalog := sdk.NewCatalog()
+	// Beyond the generated corpus: a title that repeats a stem, and a
+	// question whose snippet calls no known API and so is never indexed.
+	corpus := append(GenerateCorpus(catalog),
+		Question{Title: "Copy file to file: files, filed, file saving", Snippets: []string{
+			"FileOutputStream out = new FileOutputStream(f);\nout.write(b);",
+			"Socket s = new Socket();\ns.connect(a);",
+		}},
+		Question{Title: "Download file without any framework call", Snippets: []string{"helper.run();"}},
+	)
+	set := make(map[string]struct{})
+	for _, q := range corpus {
+		for _, w := range textproc.Words(q.Title) {
+			set[w] = struct{}{}
+		}
+	}
+	words := make([]string, 0, len(set))
+	for w := range set {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	return NewIndex(catalog, corpus), newScanIndex(catalog, corpus), words
+}
+
+func TestTopAPIsMatchesScan(t *testing.T) {
+	idx, oracle, titleWords := oracleFixture(t)
+	// Every title word and its inflected variants, so stems that only an
+	// inflection reaches are exercised too.
+	var vocab []string
+	for _, w := range titleWords {
+		vocab = append(vocab, w, w+"s", w+"ed", w+"ing")
+	}
+	vocab = append(vocab, "", "zzz", "qqq", "Download", "FILES", "the", "a", "it")
+	check := func(phrase []string, k int) {
+		t.Helper()
+		got, want := idx.TopAPIs(phrase, k), oracle.TopAPIs(phrase, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopAPIs(%q, %d) = %v, scan = %v", phrase, k, got, want)
+		}
+	}
+	for _, w := range vocab {
+		for k := 1; k <= 6; k++ {
+			check([]string{w}, k)
+		}
+	}
+	fixed := [][]string{
+		nil, {}, {"the"}, {"the", "a", "it"}, {"is", "not"},
+		{"zzz"}, {"download", "zzz"}, {"download", "download"},
+		{"files", "file", "filed"}, {"404", "error"}, {"the", "download", "the"},
+	}
+	for _, phrase := range fixed {
+		for k := -1; k <= 6; k++ {
+			check(phrase, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		a, b := vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]
+		if i%50 == 0 {
+			b = a
+		}
+		check([]string{a, b}, 1+i%6)
+	}
+}
+
+func FuzzTopAPIs(f *testing.F) {
+	idx, oracle, _ := oracleFixture(f)
+	f.Add("download file", 5)
+	f.Add("the it", 3)
+	f.Add("downloading files files", 6)
+	f.Fuzz(func(t *testing.T, phrase string, k int) {
+		// Split on single spaces so empty words reach the index as well.
+		words := strings.Split(phrase, " ")
+		got, want := idx.TopAPIs(words, k), oracle.TopAPIs(words, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopAPIs(%q, %d) = %v, scan = %v", words, k, got, want)
+		}
+	})
+}
+
+// TestTopAPIsConcurrent shares one index across goroutines, as the pool
+// workers of one solver do; run under -race it checks lookups stay
+// read-only.
+func TestTopAPIsConcurrent(t *testing.T) {
+	idx, _, words := oracleFixture(t)
+	want := make([][]APIRef, len(words))
+	for i, w := range words {
+		want[i] = idx.TopAPIs([]string{w, "file"}, 5)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range words {
+				j := (i + g*len(words)/4) % len(words)
+				if got := idx.TopAPIs([]string{words[j], "file"}, 5); !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("goroutine %d: TopAPIs(%q) = %v, want %v", g, words[j], got, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

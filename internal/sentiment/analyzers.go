@@ -23,7 +23,12 @@ func (SentiStrength) Name() string { return "SentiStrength" }
 
 // Classify implements Analyzer.
 func (SentiStrength) Classify(sentence string) Polarity {
-	toks := textproc.Tokenize(sentence)
+	sp := tokenScratch.Get().(*[]textproc.Token)
+	toks := textproc.TokenizeInto((*sp)[:0], sentence)
+	defer func() {
+		*sp = toks[:0]
+		tokenScratch.Put(sp)
+	}()
 	maxPos, maxNeg := 1, -1 // SentiStrength scales start at +1 / -1
 	boost := 0
 	negate := 0 // countdown window after a negation word

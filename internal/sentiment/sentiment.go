@@ -20,6 +20,7 @@ package sentiment
 
 import (
 	"strings"
+	"sync"
 
 	"reviewsolver/internal/textproc"
 )
@@ -56,6 +57,12 @@ type Analyzer interface {
 	Name() string
 }
 
+// tokenScratch recycles the token buffers of Classify and SplitAdversative,
+// which run once per clause; no token outlives the call that made it.
+var tokenScratch = sync.Pool{
+	New: func() any { s := make([]textproc.Token, 0, 64); return &s },
+}
+
 // adversative conjunctions that signal contrast between two clause
 // sentiments (§3.2.3).
 var adversatives = map[string]struct{}{
@@ -76,7 +83,12 @@ func IsAdversative(word string) bool {
 // distinct sentence." A sentence without adversatives is returned unchanged
 // as a single element.
 func SplitAdversative(sentence string) []string {
-	toks := textproc.Tokenize(sentence)
+	sp := tokenScratch.Get().(*[]textproc.Token)
+	toks := textproc.TokenizeInto((*sp)[:0], sentence)
+	defer func() {
+		*sp = toks[:0]
+		tokenScratch.Put(sp)
+	}()
 	var (
 		parts []string
 		cur   []string
